@@ -39,7 +39,7 @@ from .lab import (
     play,
     quantile_competitor,
 )
-from .potential import PotentialParams
+from .potential import PotentialParams, bound_coefficient
 from .tree import TreeLearner, absolute_loss, best_pruning, load_tree, load_tree_data, squared_loss
 
 ALGOS = ("ada", "dt", "hedge", "tv")
@@ -215,11 +215,11 @@ def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
         abs_pref = np.cumsum(np.abs(rec.player_losses[:, None] - trace.losses), axis=0)
         c_best = abs_pref[rounds, best_idx]
         if algo == "ada":
-            a_term = math.log(n) + np.log(certs) + math.log(1.0 + math.log(n))
+            ln_inv_q, n_live = math.log(n), n
         else:  # tv: copy born at round 1, prior 1/1^2 over the growing registry
             zeta = np.cumsum(1.0 / np.arange(1.0, t_len + 1.0) ** 2)
-            a_term = np.log(n * zeta) + np.log(certs) + np.log(1.0 + np.log(n * np.arange(1.0, t_len + 1.0)))
-        bounds = np.sqrt(3.0 * c_best * a_term)
+            ln_inv_q, n_live = np.log(n * zeta), n * np.arange(1.0, t_len + 1.0)
+        bounds = np.sqrt(c_best * bound_coefficient(ln_inv_q, certs, n_live))
 
     rows = []
     for t in range(t_len):

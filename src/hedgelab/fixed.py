@@ -1,10 +1,11 @@
 """Parameter-free hedging over a fixed, known set of N experts.
 
-The learner keeps per-expert accumulators (R, C) and predicts proportionally
-to prior * weight(R, C).  With the default exponent d=1 the weighted potential
-sum admits a runtime certificate that every trace must satisfy, and explicit
-regret bounds against arbitrary competitor distributions can be evaluated at
-any time from the live state.
+The learner is an expert bank whose N rows are registered at construction
+and awake every round: it predicts proportionally to prior * weight(R, C)
+from the bank's per-expert accumulators (R, C).  With the default exponent
+d=1 the weighted potential sum admits a runtime certificate that every trace
+must satisfy, and explicit regret bounds against arbitrary competitor
+distributions can be evaluated at any time from the live state.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from .potential import ExpertState, PotentialParams, phi_arr, weight_arr
+from .potential import ExpertBank, PotentialParams, bound_coefficient, check_losses
 
 __all__ = ["FixedLearner", "relative_entropy"]
 
@@ -52,36 +53,40 @@ class FixedLearner:
     """
 
     def __init__(self, prior, params: PotentialParams | None = None):
-        self.q = _as_prob_vector(prior, name="prior")
-        self.params = params if params is not None else PotentialParams()
-        n = self.q.size
-        self.R = np.zeros(n)
-        self.C = np.zeros(n)
+        self._bank = ExpertBank(params)
+        self._bank.add(_as_prob_vector(prior, name="prior"))
         self.t = 0
-        self._cached_round = -1
-        self._cached_p: np.ndarray | None = None
 
     @property
     def n_experts(self) -> int:
-        return self.q.size
+        return self._bank.q.size
 
     @property
-    def states(self) -> list[ExpertState]:
-        return [ExpertState(float(r), float(c)) for r, c in zip(self.R, self.C)]
+    def q(self) -> np.ndarray:
+        return self._bank.q
+
+    @property
+    def R(self) -> np.ndarray:
+        return self._bank.R
+
+    @R.setter
+    def R(self, value) -> None:
+        self._bank.R[:] = value
+
+    @property
+    def C(self) -> np.ndarray:
+        return self._bank.C
+
+    @C.setter
+    def C(self, value) -> None:
+        self._bank.C[:] = value
 
     def predict(self) -> np.ndarray:
         """Distribution over experts: p_i proportional to q_i * weight(R_i, C_i).
 
         Falls back to the prior when every unnormalized weight is zero.
         """
-        if self._cached_round == self.t and self._cached_p is not None:
-            return self._cached_p.copy()
-        s = self.q * weight_arr(self.R, self.C)
-        total = s.sum()
-        p = self.q.copy() if total <= 0.0 else s / total
-        self._cached_round = self.t
-        self._cached_p = p
-        return p.copy()
+        return self._bank.predict()
 
     def update(self, losses) -> float:
         """Consume one round of losses in [0, 1]^N, return the player loss.
@@ -89,22 +94,13 @@ class FixedLearner:
         The prediction is recomputed internally so the weighted sum of
         instantaneous regrets is zero by construction.
         """
-        losses = np.asarray(losses, dtype=float)
-        if losses.shape != (self.n_experts,):
-            raise ValueError(f"losses must have shape ({self.n_experts},)")
-        if np.any(losses < 0.0) or np.any(losses > 1.0) or not np.all(np.isfinite(losses)):
-            raise ValueError("losses must lie in [0, 1]")
-        p = self.predict()
-        player_loss = float(np.dot(p, losses))
-        r = player_loss - losses
-        self.R += r
-        self.C += self.params.increment(r)
+        player_loss = self._bank.update(check_losses(losses, self.n_experts))
         self.t += 1
         return player_loss
 
     def potential_sum(self) -> float:
         """Current prior-weighted sum of per-expert potentials."""
-        return float(np.dot(self.q, phi_arr(self.R, self.C)))
+        return self._bank.potential_sum()
 
     def certificate(self) -> float:
         """Upper bound the weighted potential sum must satisfy at every round.
@@ -112,18 +108,12 @@ class FixedLearner:
         Only available for d=1: 1 + (3/2) * sum_i q_i (1 + ln(1 + C_i)).
         After T rounds this is at most 5/2 + (3/2) ln(1+T).
         """
-        if self.params.d != 1.0:
-            raise ValueError("potential certificate is only supported for d = 1")
-        return 1.0 + 1.5 * float(np.dot(self.q, 1.0 + np.log1p(self.C)))
+        return self._bank.certificate()
 
     def bound_coefficient(self, u) -> float:
         """A(u) = 3 * (RE(u||q) + ln B + ln(1 + ln N)) for competitor u."""
         u = _as_prob_vector(u, self.n_experts, name="competitor")
-        re = relative_entropy(u, self.q)
-        if math.isinf(re):
-            return math.inf
-        b = self.certificate()
-        return 3.0 * (re + math.log(b) + math.log(1.0 + math.log(self.n_experts)))
+        return float(bound_coefficient(relative_entropy(u, self.q), self.certificate(), self.n_experts))
 
     def regret_bound(self, u) -> float:
         """Anytime regret bound sqrt((u . C) * A(u)) for any competitor distribution u.

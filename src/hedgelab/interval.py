@@ -7,11 +7,12 @@ Predicting with the sum of copy weights per base expert yields a learner whose
 regret is controlled on every time interval simultaneously, which in turn
 bounds shifting regret against the best segmented competitor.
 
-The state is the naive (rounds x experts) array of copy accumulators: O(N*t)
-time per round and O(N*T) memory, so harness runs cap T around 20k.  The
-arithmetic mirrors SleepingRegistry exactly (same elementwise operations in
-the same canonical order), so driving a registry with birth-scheduled ids
-reproduces this learner's outputs bit for bit.
+The copies are rows of the expert bank that SleepingRegistry also uses, in
+birth order (row (tau-1)*N + i holds the copy of expert i born at tau), and
+every copy is updated every round: O(N*t) time per round and O(N*T) memory,
+so harness runs cap T around 20k.  Because the learner shares the bank,
+driving a registry with birth-scheduled ids reproduces its outputs bit for
+bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .potential import phi_arr, weight_arr
+from .potential import ExpertBank, bound_coefficient, check_losses, potential_cap
 
 __all__ = [
     "TvLearner",
@@ -38,21 +39,7 @@ class TvLearner:
             raise ValueError("need at least one base expert")
         self.n = int(n_base)
         self.t = 0  # completed rounds
-        cap = int(horizon) if horizon else 16
-        self._R = np.zeros((cap, self.n))
-        self._C = np.zeros((cap, self.n))
-        self._qtau = 1.0 / np.arange(1.0, cap + 1.0) ** 2
-        self._cached_round = -1
-        self._cached_flat: np.ndarray | None = None
-
-    def _ensure_capacity(self, rows: int) -> None:
-        cap = self._R.shape[0]
-        if rows <= cap:
-            return
-        new_cap = max(rows, 2 * cap)
-        grow = lambda a: np.vstack([a, np.zeros((new_cap - cap, self.n))])  # noqa: E731
-        self._R, self._C = grow(self._R), grow(self._C)
-        self._qtau = 1.0 / np.arange(1.0, new_cap + 1.0) ** 2
+        self._bank = ExpertBank(capacity=(int(horizon) if horizon else 16) * self.n)
 
     @property
     def n_sleeping(self) -> int:
@@ -63,56 +50,36 @@ class TvLearner:
         """Accumulators of the copy born at round tau (1-based) for expert i."""
         if not (1 <= tau <= self.t):
             raise ValueError(f"birth round {tau} not in [1, {self.t}]")
-        return float(self._R[tau - 1, i]), float(self._C[tau - 1, i])
+        row = (tau - 1) * self.n + i
+        return float(self._bank.R[row]), float(self._bank.C[row])
 
-    def _flat_prediction(self, t: int) -> np.ndarray:
-        """Per-copy prediction weights for round t, rows 1..t, row-major."""
-        if self._cached_round == t and self._cached_flat is not None:
-            return self._cached_flat
-        self._ensure_capacity(t)
-        s = self._qtau[:t, None] * weight_arr(self._R[:t], self._C[:t])
-        total = s.sum()
-        p = s / total  # fresh copies keep the total strictly positive
-        self._cached_round = t
-        self._cached_flat = p
-        return p
+    def _spawn(self) -> slice:
+        """Rows of every copy that plays the upcoming round, registering the
+        n copies born at that round (prior 1/t^2) on first use."""
+        t = self.t + 1
+        if self._bank.q.size < t * self.n:
+            self._bank.add(np.full(self.n, 1.0 / t**2))
+        return slice(0, t * self.n)
 
     def predict(self) -> np.ndarray:
         """Distribution over base experts for the upcoming round."""
-        p = self._flat_prediction(self.t + 1)
-        return p.sum(axis=0)
+        return self._bank.predict(self._spawn()).reshape(-1, self.n).sum(axis=0)
 
     def update(self, losses) -> float:
         """Consume one round of base-expert losses, return the player loss."""
-        losses = np.asarray(losses, dtype=float)
-        if losses.shape != (self.n,):
-            raise ValueError(f"losses must have shape ({self.n},)")
-        if np.any(losses < 0.0) or np.any(losses > 1.0) or not np.all(np.isfinite(losses)):
-            raise ValueError("losses must lie in [0, 1]")
-        t = self.t + 1
-        p = self._flat_prediction(t)
-        player_loss = float(np.dot(p.ravel(), np.tile(losses, t)))
-        r = player_loss - np.broadcast_to(losses, (t, self.n))
-        self._R[:t] += r
-        self._C[:t] += np.abs(r)
-        self.t = t
+        losses = check_losses(losses, self.n)
+        rows = self._spawn()
+        player_loss = self._bank.update(np.tile(losses, self.t + 1), rows)
+        self.t += 1
         return player_loss
 
     def potential_sum(self) -> float:
         """Normalized-prior potential sum over all live copies."""
-        if self.t == 0:
-            return 1.0
-        t = self.t
-        zq = self.n * self._qtau[:t].sum()
-        return float((self._qtau[:t, None] * phi_arr(self._R[:t], self._C[:t])).sum() / zq)
+        return self._bank.potential_sum(slice(0, self.n_sleeping))
 
     def certificate(self) -> float:
         """Round-by-round upper bound for the potential sum over live copies."""
-        if self.t == 0:
-            return 2.5
-        t = self.t
-        zq = self.n * self._qtau[:t].sum()
-        return 1.0 + 1.5 * float((self._qtau[:t, None] * (1.0 + np.log1p(self._C[:t]))).sum() / zq)
+        return self._bank.certificate(slice(0, self.n_sleeping))
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +117,7 @@ def _prefixes(player_losses, losses):
 
 def _certificate_at(pref_a, qtau, zeta, t2: int, n: int) -> float:
     # potential-sum cap over the n*t2 copies alive at the end of round t2
-    c_mat = pref_a[t2][None, :] - pref_a[0:t2]
-    zq = n * zeta[t2]
-    return 1.0 + 1.5 * float((qtau[:t2, None] * (1.0 + np.log1p(c_mat))).sum() / zq)
+    return potential_cap(np.repeat(qtau[:t2], n), (pref_a[t2][None, :] - pref_a[0:t2]).ravel())
 
 
 def interval_bound(player_losses, losses, t1: int, t2: int, i: int) -> float:
@@ -171,9 +136,7 @@ def interval_bound(player_losses, losses, t1: int, t2: int, i: int) -> float:
     zeta = np.concatenate([[0.0], np.cumsum(qtau)])
     c_int = float(pref_a[t2, i] - pref_a[t1 - 1, i])
     ln_inv_q = math.log(N * zeta[t2]) + 2.0 * math.log(t1)
-    ln_b = math.log(_certificate_at(pref_a, qtau, zeta, t2, N))
-    lll = math.log(1.0 + math.log(N * t2))
-    return math.sqrt(3.0 * c_int * (ln_inv_q + ln_b + lll))
+    return math.sqrt(c_int * bound_coefficient(ln_inv_q, _certificate_at(pref_a, qtau, zeta, t2, N), N * t2))
 
 
 def check_all_interval_bounds(player_losses, losses, rel_tol: float = 1e-9):
@@ -189,12 +152,11 @@ def check_all_interval_bounds(player_losses, losses, rel_tol: float = 1e-9):
     failures = 0
     worst = math.inf
     for t2 in range(1, T + 1):
-        ln_b = math.log(_certificate_at(pref_a, qtau, zeta, t2, N))
-        lll = math.log(1.0 + math.log(N * t2))
+        cap = _certificate_at(pref_a, qtau, zeta, t2, N)
         ln_inv_q = math.log(N * zeta[t2]) + 2.0 * log_t1[:t2]
         r_int = pref_r[t2][None, :] - pref_r[0:t2]
         c_int = pref_a[t2][None, :] - pref_a[0:t2]
-        bound = np.sqrt(3.0 * c_int * (ln_inv_q[:, None] + ln_b + lll))
+        bound = np.sqrt(c_int * bound_coefficient(ln_inv_q[:, None], cap, N * t2))
         margin = bound - r_int + rel_tol * np.abs(bound)
         checked += margin.size
         failures += int(np.sum(margin < 0.0))

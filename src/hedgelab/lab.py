@@ -17,6 +17,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import linprog
 
+from .potential import check_losses
+
 __all__ = [
     "STREAM_LOSSES",
     "STREAM_COMPETITORS",
@@ -339,11 +341,7 @@ class HedgeLearner:
         return w / w.sum()
 
     def update(self, losses) -> float:
-        losses = np.asarray(losses, dtype=float)
-        if losses.shape != (self.n,):
-            raise ValueError(f"losses must have shape ({self.n},)")
-        if np.any(losses < 0.0) or np.any(losses > 1.0) or not np.all(np.isfinite(losses)):
-            raise ValueError("losses must lie in [0, 1]")
+        losses = check_losses(losses, self.n)
         p = self.predict()
         player_loss = float(np.dot(p, losses))
         self.L += losses

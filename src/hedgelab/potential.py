@@ -3,11 +3,15 @@
 The potential of an expert with cumulative regret R and accumulator C is
 exp([R]+^2 / (3C)), with the (0, 0) corner defined as 1.  Prediction weights
 are the symmetric discrete derivative of the potential, taken one unit out in
-both arguments.  Everything here is pure and safe to call from any thread.
+both arguments.  The functions here are pure and safe to call from any thread.
 
 With the default accumulator exponent d=1 the invariant |R| <= C holds along
 any valid update sequence, so the potential exponent is at most C/3: linear
 space only overflows past C ~ 2000, far beyond harness scales.
+
+ExpertBank holds the (prior, R, C) rows that the fixed, sleeping and interval
+learners predict, update and certify through; potential_cap, bound_coefficient
+and check_losses are the cap, the bound and the loss check they all share.
 """
 
 from __future__ import annotations
@@ -41,23 +45,19 @@ class PotentialParams:
     """Accumulator exponent d: increments are |r|^d with 0^0 := 1.
 
     d=1 tracks the cumulative magnitude of instantaneous regrets; d=0 counts
-    rounds, which recovers the denominator-3t variant.  Values outside [0, 1]
-    are rejected (d=2 is not supported).
+    rounds, which recovers the denominator-3t variant.  Every other value is
+    rejected: only d=1 has a potential certificate.
     """
 
     d: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.d <= 1.0):
-            raise ValueError(f"accumulator exponent d must be in [0, 1], got {self.d}")
+        if self.d not in (0.0, 1.0):
+            raise ValueError(f"accumulator exponent d must be 0 or 1, got {self.d}")
 
     def increment(self, r: np.ndarray) -> np.ndarray:
         """|r|^d elementwise, with the 0^0 := 1 convention for d = 0."""
-        if self.d == 1.0:
-            return np.abs(r)
-        if self.d == 0.0:
-            return np.ones_like(r)
-        return np.abs(r) ** self.d
+        return np.abs(r) if self.d == 1.0 else np.ones_like(r)
 
 
 @dataclass
@@ -127,6 +127,91 @@ def weight_arr(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     np.subtract(a, b, out=a)
     a *= 0.5
     return a
+
+
+def check_losses(losses, n: int | None = None) -> np.ndarray:
+    """Losses as a float array, rejecting entries outside [0, 1] (NaN included)
+    and, when n is given, any shape other than (n,)."""
+    losses = np.asarray(losses, dtype=float)
+    if n is not None and losses.shape != (n,):
+        raise ValueError(f"losses must have shape ({n},)")
+    if not ((losses >= 0.0) & (losses <= 1.0)).all():
+        raise ValueError("losses must lie in [0, 1]")
+    return losses
+
+
+def potential_cap(q: np.ndarray, C: np.ndarray) -> float:
+    """Cap B = 1 + (3/2) sum_i q_i (1 + ln(1 + C_i)) / sum_i q_i on the
+    q-weighted potential sum of experts with priors q and accumulators C."""
+    return 1.0 + 1.5 * float(np.dot(q, 1.0 + np.log1p(C)) / q.sum())
+
+
+def bound_coefficient(ln_inv_q, cap, n):
+    """A = 3 (ln(1/q) + ln B + ln(1 + ln N)), so that regret <= sqrt(C_u * A)
+    for a competitor at relative entropy ln_inv_q to the prior (ln(1/q) for a
+    point mass), potential-sum cap B and N registered experts; arrays broadcast.
+    """
+    return 3.0 * (ln_inv_q + np.log(cap) + np.log(1.0 + np.log(n)))
+
+
+class ExpertBank:
+    """Prior q, regret R and accumulator C, one entry per expert in
+    registration order: views of one buffer that grows by doubling.
+
+    `rows` selects the experts a call acts on: a slice for a contiguous
+    block (all by default), an ascending int array for an awake set.
+    """
+
+    def __init__(self, params: PotentialParams | None = None, capacity: int = 0):
+        self.params = params if params is not None else PotentialParams()
+        self._buf = np.zeros((3, capacity))
+        self.q, self.R, self.C = self._buf[:, :0]
+
+    def add(self, priors) -> None:
+        """Register one fresh row (R = C = 0) per prior weight, in order."""
+        priors = np.asarray(priors, dtype=float)
+        start, end = self.q.size, self.q.size + priors.size
+        if end > self._buf.shape[1]:
+            buf = np.zeros((3, max(end, 2 * self._buf.shape[1])))
+            buf[:, :start] = self._buf[:, :start]
+            self._buf = buf
+        self._buf[0, start:end] = priors
+        self.q, self.R, self.C = self._buf[:, :end]
+
+    def predict(self, rows=slice(None), conf=None) -> np.ndarray:
+        """p proportional to q * conf * weight(R, C) over the rows; when every
+        such weight is zero, proportional to q * conf."""
+        q = self.q[rows] if conf is None else self.q[rows] * conf
+        s = q * weight_arr(self.R[rows], self.C[rows])
+        total = s.sum()
+        if total <= 0.0:
+            s, total = q, q.sum()
+        return s / total
+
+    def update(self, losses: np.ndarray, rows=slice(None), conf=None) -> float:
+        """Charge the rows their (confidence-scaled) regret to the player loss
+        p . losses, and return that player loss; losses must be checked."""
+        player_loss = float(np.dot(self.predict(rows, conf), losses))
+        r = player_loss - losses if conf is None else conf * (player_loss - losses)
+        self.R[rows] += r
+        self.C[rows] += self.params.increment(r)
+        return player_loss
+
+    def potential_sum(self, rows=slice(None)) -> float:
+        """Potential sum over the rows, with the prior normalized over them."""
+        q = self.q[rows]
+        if q.size == 0:
+            return 1.0
+        return float(np.dot(q, phi_arr(self.R[rows], self.C[rows])) / q.sum())
+
+    def certificate(self, rows=slice(None)) -> float:
+        """The cap the potential sum over the rows stays under (d = 1 only)."""
+        if self.params.d != 1.0:
+            raise ValueError("potential certificate is only supported for d = 1")
+        q = self.q[rows]
+        if q.size == 0:
+            return 2.5
+        return potential_cap(q, self.C[rows])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ needs to know the total number of experts: ids are registered on their first
 awake round with a prior weight from a pluggable policy (constant 1 by
 default), and predictions only ever involve the currently awake ids.
 
-All per-round sums run over ids in canonical sorted order so that emitted
-traces are reproducible; an id passed with confidence 0 is treated exactly
-like an absent id (not registered, state untouched, prediction weight 0).
+Each id owns one row of an expert bank, assigned in registration order (a
+round's new ids in the order the round lists them), and every per-round sum
+runs over the awake rows in ascending row order, so emitted traces are
+reproducible and ids need only be hashable.  An id passed with confidence 0
+is treated exactly like an absent id (not registered, state untouched,
+prediction weight 0).
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .fixed import relative_entropy
-from .potential import ExpertState, PotentialParams, phi_arr, weight_arr
+from .potential import ExpertBank, ExpertState, PotentialParams, bound_coefficient, check_losses
 
 __all__ = ["ExpertId", "ConfidenceRound", "SleepingRegistry"]
 
-ExpertId = Any  # opaque hashable, sortable within one registry
+ExpertId = Any  # opaque hashable
 
 
 @dataclass
@@ -39,70 +42,63 @@ class ConfidenceRound:
 
 
 class SleepingRegistry:
-    """Expert states keyed by id, with prior weights and wake/sleep updates."""
+    """Expert ids mapped to rows of an expert bank, with wake/sleep updates."""
 
     def __init__(
         self,
         prior_policy: Callable[[ExpertId], float] | None = None,
         params: PotentialParams | None = None,
     ):
-        self.params = params if params is not None else PotentialParams()
         self._prior_policy = prior_policy if prior_policy is not None else (lambda _i: 1.0)
-        self._R: dict = {}
-        self._C: dict = {}
-        self._w: dict = {}  # prior weight per id, fixed at registration
+        self._bank = ExpertBank(params)
+        self._rows: dict = {}  # id -> bank row, in registration order
 
     # -- registry bookkeeping ------------------------------------------------
 
     @property
     def seen_count(self) -> int:
         """Number of distinct ids ever registered; never decreases."""
-        return len(self._R)
+        return len(self._rows)
 
     def ids(self) -> list:
-        return sorted(self._R)
+        """Registered ids in registration order."""
+        return list(self._rows)
 
     def state(self, expert_id) -> ExpertState:
-        return ExpertState(self._R[expert_id], self._C[expert_id])
-
-    def prior_weight(self, expert_id) -> float:
-        return self._w[expert_id]
-
-    def _register(self, expert_id) -> None:
-        if expert_id in self._R:
-            return
-        w = float(self._prior_policy(expert_id))
-        if not (w > 0.0 and math.isfinite(w)):
-            raise ValueError(f"prior weight for {expert_id!r} must be positive, got {w}")
-        self._R[expert_id] = 0.0
-        self._C[expert_id] = 0.0
-        self._w[expert_id] = w
+        row = self._rows[expert_id]
+        return ExpertState(float(self._bank.R[row]), float(self._bank.C[row]))
 
     # -- prediction and update ----------------------------------------------
 
-    def _awake_arrays(self, confidences: Mapping):
-        awake = []
-        for expert_id, conf in confidences.items():
-            conf = float(conf)
-            if not (0.0 <= conf <= 1.0):
-                raise ValueError(f"confidence for {expert_id!r} must be in [0, 1], got {conf}")
-            if conf > 0.0:
-                awake.append(expert_id)
-        if not awake:
+    def _awake(self, confidences: Mapping, losses: Mapping | None = None):
+        """Validate a round, register its new awake ids in the order listed,
+        and return the awake (ids, rows, confidences, losses) by ascending row.
+
+        Nothing is registered unless the whole round is valid.
+        """
+        ids, conf = [], []
+        for expert_id, c in confidences.items():
+            c = float(c)
+            if not (0.0 <= c <= 1.0):
+                raise ValueError(f"confidence for {expert_id!r} must be in [0, 1], got {c}")
+            if c > 0.0:
+                ids.append(expert_id)
+                conf.append(c)
+        if not ids:
             raise ValueError("at least one id must be awake (confidence > 0)")
-        awake.sort()
-        for expert_id in awake:
-            self._register(expert_id)
-        q = np.array([self._w[i] for i in awake])
-        conf = np.array([float(confidences[i]) for i in awake])
-        R = np.array([self._R[i] for i in awake])
-        C = np.array([self._C[i] for i in awake])
-        s = q * conf * weight_arr(R, C)
-        total = s.sum()
-        if total <= 0.0:
-            s = q * conf  # everyone at zero weight: fall back to confidence-scaled prior
-            total = s.sum()
-        return awake, conf, s / total
+        if losses is not None:
+            losses = check_losses([losses[i] for i in ids])
+        new = [i for i in ids if i not in self._rows]
+        priors = [float(self._prior_policy(i)) for i in new]
+        for expert_id, w in zip(new, priors):
+            if not (w > 0.0 and math.isfinite(w)):
+                raise ValueError(f"prior weight for {expert_id!r} must be positive, got {w}")
+        self._rows.update((expert_id, self._bank.q.size + k) for k, expert_id in enumerate(new))
+        self._bank.add(priors)
+        rows = np.array([self._rows[i] for i in ids])
+        order = np.argsort(rows)
+        ids = [ids[k] for k in order]
+        return ids, rows[order], np.array(conf)[order], None if losses is None else losses[order]
 
     def predict(self, confidences: Mapping) -> dict:
         """Prediction weights p_i proportional to q_i * I_i * weight(R_i, C_i).
@@ -110,10 +106,9 @@ class SleepingRegistry:
         Supported only on awake ids; ids passed with confidence 0 get an
         explicit 0.  Weights sum to 1.
         """
-        awake, _, p = self._awake_arrays(confidences)
+        ids, rows, conf, _ = self._awake(confidences)
         out = {expert_id: 0.0 for expert_id in confidences}
-        for expert_id, pi in zip(awake, p):
-            out[expert_id] = float(pi)
+        out.update(zip(ids, self._bank.predict(rows, conf).tolist()))
         return out
 
     def update(self, round_data) -> float:
@@ -124,45 +119,20 @@ class SleepingRegistry:
         asleep ids are untouched bit for bit.
         """
         awake_map = round_data.awake if isinstance(round_data, ConfidenceRound) else round_data
-        confidences = {i: cl[0] for i, cl in awake_map.items()}
-        awake, conf, p = self._awake_arrays(confidences)
-        losses = np.array([float(awake_map[i][1]) for i in awake])
-        if np.any(losses < 0.0) or np.any(losses > 1.0) or not np.all(np.isfinite(losses)):
-            raise ValueError("losses must lie in [0, 1]")
-        player_loss = float(np.dot(p, losses))
-        r = conf * (player_loss - losses)
-        inc = self.params.increment(r)
-        for k, expert_id in enumerate(awake):
-            self._R[expert_id] += r[k]
-            self._C[expert_id] += inc[k]
-        return player_loss
+        _, rows, conf, losses = self._awake(
+            {i: cl[0] for i, cl in awake_map.items()}, {i: cl[1] for i, cl in awake_map.items()}
+        )
+        return self._bank.update(losses, rows, conf)
 
     # -- certificates ---------------------------------------------------------
 
-    def _normalized_prior(self, ids: list) -> np.ndarray:
-        q = np.array([self._w[i] for i in ids])
-        return q / q.sum()
-
     def potential_sum(self) -> float:
         """Prior-weighted potential sum over registered ids (prior normalized)."""
-        ids = self.ids()
-        if not ids:
-            return 1.0
-        q = self._normalized_prior(ids)
-        R = np.array([self._R[i] for i in ids])
-        C = np.array([self._C[i] for i in ids])
-        return float(np.dot(q, phi_arr(R, C)))
+        return self._bank.potential_sum()
 
     def certificate(self) -> float:
         """Round-by-round upper bound for the potential sum (d = 1 only)."""
-        if self.params.d != 1.0:
-            raise ValueError("potential certificate is only supported for d = 1")
-        ids = self.ids()
-        if not ids:
-            return 2.5
-        q = self._normalized_prior(ids)
-        C = np.array([self._C[i] for i in ids])
-        return 1.0 + 1.5 * float(np.dot(q, 1.0 + np.log1p(C)))
+        return self._bank.certificate()
 
     def regret_bound(self, u: Mapping) -> float:
         """Anytime bound on the confidence-weighted regret to competitor u.
@@ -175,15 +145,12 @@ class SleepingRegistry:
         mass = np.array([float(v) for v in u.values()])
         if np.any(mass < 0.0) or not math.isclose(mass.sum(), 1.0, rel_tol=1e-9):
             raise ValueError("competitor must be a probability distribution")
-        ids = self.ids()
-        if any(expert_id not in self._R and float(v) > 0.0 for expert_id, v in u.items()):
-            return math.inf
-        q = self._normalized_prior(ids)
-        uvec = np.array([float(u.get(i, 0.0)) for i in ids])
-        re = relative_entropy(uvec, q)
-        if math.isinf(re):
-            return math.inf
-        c_u = float(sum(float(v) * self._C[i] for i, v in u.items() if float(v) > 0.0))
-        b = self.certificate()
-        n_t = self.seen_count
-        return math.sqrt(3.0 * c_u * (re + math.log(b) + math.log(1.0 + math.log(n_t))))
+        uvec = np.zeros(self.seen_count)
+        for expert_id, v in u.items():
+            if float(v) > 0.0:
+                if expert_id not in self._rows:
+                    return math.inf
+                uvec[self._rows[expert_id]] = float(v)
+        re = relative_entropy(uvec, self._bank.q / self._bank.q.sum())  # finite: every prior is positive
+        c_u = float(np.dot(uvec, self._bank.C))
+        return math.sqrt(c_u * bound_coefficient(re, self.certificate(), self.seen_count))

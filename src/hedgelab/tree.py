@@ -256,11 +256,7 @@ class TreeLearner:
         loss_fn is convex.
         """
         path, preds = self._edge_values(x)
-        edge_losses = [float(loss_fn(pred)) for pred in preds]
-        if any(not (0.0 <= el <= 1.0) for el in edge_losses):
-            raise ValueError("loss_fn must map [0, 1] into [0, 1]")
-        round_data = {edge: (1.0, el) for edge, el in zip(path, edge_losses)}
-        return self.registry.update(round_data)
+        return self.registry.update({edge: (1.0, float(loss_fn(pred))) for edge, pred in zip(path, preds)})
 
     def terminal_edges(self, pruning: PruningTree) -> list[Edge]:
         """Edges into the effective leaves of a pruning of the template."""

@@ -39,9 +39,9 @@ class TestPredict:
 
     def test_confidence_scales_weights(self):
         reg = SleepingRegistry()
-        reg._R.update({"a": 0.5, "b": -0.5})
-        reg._C.update({"a": 0.5, "b": 0.5})
-        reg._w.update({"a": 1.0, "b": 1.0})
+        reg.predict({"a": 1.0, "b": 1.0})  # registers a, b at rows 0, 1 with prior 1
+        reg._bank.R[:2] = [0.5, -0.5]
+        reg._bank.C[:2] = [0.5, 0.5]
         p = reg.predict({"a": 1.0, "b": 0.5})
         sa, sb = weight(0.5, 0.5), 0.5 * weight(-0.5, 0.5)
         assert p["a"] == pytest.approx(sa / (sa + sb), rel=REL)
@@ -61,9 +61,9 @@ class TestPredict:
 
     def test_fallback_proportional_to_confidence_scaled_prior(self):
         reg = SleepingRegistry()
-        reg._R.update({"a": -2.0, "b": -3.0})
-        reg._C.update({"a": 4.0, "b": 5.0})
-        reg._w.update({"a": 1.0, "b": 1.0})
+        reg.predict({"a": 1.0, "b": 1.0})  # registers a, b at rows 0, 1 with prior 1
+        reg._bank.R[:2] = [-2.0, -3.0]
+        reg._bank.C[:2] = [4.0, 5.0]
         p = reg.predict({"a": 1.0, "b": 0.5})
         assert p["a"] == pytest.approx(2.0 / 3.0, rel=REL)
         assert p["b"] == pytest.approx(1.0 / 3.0, rel=REL)
@@ -110,6 +110,24 @@ class TestUpdate:
         with pytest.raises(ValueError):
             reg.update({"a": (1.0, 1.2)})
 
+    def test_rejected_round_registers_nothing(self):
+        reg = SleepingRegistry(prior_policy=lambda i: 0.0 if i == "bad" else 1.0)
+        with pytest.raises(ValueError):
+            reg.update({"a": (1.0, 1.2)})
+        with pytest.raises(ValueError):
+            reg.update({"a": (1.0, 0.5), "b": (1.0, float("nan"))})
+        with pytest.raises(ValueError):
+            reg.predict({"a": 1.0, "bad": 1.0})
+        assert reg.seen_count == 0
+        assert reg.ids() == []
+
+    def test_mixed_id_types(self):
+        reg = SleepingRegistry()
+        assert reg.update({"a": (1.0, 0.0), 1: (1.0, 1.0)}) == pytest.approx(0.5)
+        assert reg.predict({1: 1.0, "a": 1.0})["a"] > 0.5
+        assert reg.ids() == ["a", 1]
+        assert reg.state(1).R == pytest.approx(-0.5)
+
     def test_zero_sum_with_confidence(self):
         # sum_i q_i w_i r_i = 0 with r_i the confidence-scaled gap: the
         # prediction normalizes q*I*w, so the confidence inside r cancels it
@@ -121,7 +139,7 @@ class TestUpdate:
             if not any(c > 0 for c in conf.values()):
                 conf[ids[0]] = 1.0
             w = {
-                i: reg._w.get(i, 1.0) * weight(reg._R.get(i, 0.0), reg._C.get(i, 0.0))
+                i: reg._bank.q[reg._rows[i]] * weight(reg.state(i).R, reg.state(i).C) if i in reg._rows else weight(0.0, 0.0)
                 for i in ids
                 if conf[i] > 0
             }
