@@ -60,24 +60,38 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _parse_list(value, cast):
+# Keys a --config file may set: those of the config itself, plus the
+# singular spellings "algo" and "seed".
+CONFIG_KEYS = (
+    "scenario", "algos", "algo", "n", "t", "k", "alpha", "mu", "eps", "seeds", "seed", "out", "tree", "data", "loss",
+)
+
+
+def _cast(key: str, value, cast):
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be {cast.__name__}, got {value!r}") from None
+
+
+def _parse_list(key: str, value, cast):
     if value is None:
         return None
-    if isinstance(value, (list, tuple)):
-        return [cast(v) for v in value]
-    return [cast(v) for v in str(value).split(",") if v != ""]
+    if not isinstance(value, (list, tuple)):
+        value = [v for v in str(value).split(",") if v != ""]
+    return [_cast(key, v, cast) for v in value]
 
 
 def build_config(args: argparse.Namespace) -> dict:
     cfg = {
         "scenario": args.scenario,
-        "algos": _parse_list(args.algo, str) or ["ada"],
+        "algos": _parse_list("algo", args.algo, str) or ["ada"],
         "n": args.n,
         "t": args.t,
         "k": args.k,
         "alpha": args.alpha,
         "mu": args.mu,
-        "eps": _parse_list(args.eps, float) or [0.1],
+        "eps": _parse_list("eps", args.eps, float) or [0.1],
         "seeds": None,
         "out": args.out,
         "tree": args.tree,
@@ -85,7 +99,7 @@ def build_config(args: argparse.Namespace) -> dict:
         "loss": args.loss,
     }
     if args.seed is not None:
-        cfg["seeds"] = _parse_list(args.seed, int)
+        cfg["seeds"] = _parse_list("seed", args.seed, int)
     elif args.seeds is not None:
         cfg["seeds"] = list(range(int(args.seeds)))
     else:
@@ -95,15 +109,20 @@ def build_config(args: argparse.Namespace) -> dict:
             overrides = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        unknown = [key for key in overrides if key not in CONFIG_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; choose from {CONFIG_KEYS}")
         for key, value in overrides.items():
             if key == "algos" or key == "algo":
-                cfg["algos"] = _parse_list(value, str)
+                cfg["algos"] = _parse_list(key, value, str)
             elif key == "eps":
-                cfg["eps"] = _parse_list(value, float)
+                cfg["eps"] = _parse_list(key, value, float)
             elif key == "seeds":
-                cfg["seeds"] = list(range(int(value))) if isinstance(value, int) else _parse_list(value, int)
+                cfg["seeds"] = list(range(int(value))) if isinstance(value, int) else _parse_list(key, value, int)
             elif key == "seed":
-                cfg["seeds"] = _parse_list(value, int)
+                cfg["seeds"] = _parse_list(key, value, int)
             else:
                 cfg[key] = value
     validate_config(cfg)
@@ -113,11 +132,21 @@ def build_config(args: argparse.Namespace) -> dict:
 def validate_config(cfg: dict) -> None:
     if cfg["scenario"] not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg['scenario']!r}; choose from {SCENARIOS}")
+    for key in ("algos", "eps"):
+        if not cfg[key]:
+            raise ConfigError(f"need at least one value for {key}")
+    if not isinstance(cfg["out"], str):
+        raise ConfigError(f"out must be a path, got {cfg['out']!r}")
+    for key in ("tree", "data"):
+        if cfg[key] is not None and not isinstance(cfg[key], str):
+            raise ConfigError(f"{key} must be a path, got {cfg[key]!r}")
     for algo in cfg["algos"]:
         if algo not in ALGOS:
             raise ConfigError(f"unknown algorithm {algo!r}; choose from {ALGOS}")
     if not cfg["seeds"]:
         raise ConfigError("need at least one seed")
+    if min(cfg["seeds"]) < 0:
+        raise ConfigError(f"seeds must be nonnegative, got {cfg['seeds']}")
     if cfg["scenario"] == "tree":
         if cfg["algos"] != ["ada"]:
             raise ConfigError("the tree scenario supports only --algo ada")
@@ -126,22 +155,26 @@ def validate_config(cfg: dict) -> None:
         if cfg["loss"] not in ("squared", "absolute"):
             raise ConfigError(f"unknown loss {cfg['loss']!r}; choose squared or absolute")
         return
-    n, t = cfg["n"], cfg["t"]
-    if n is None or t is None or int(n) <= 0 or int(t) <= 0:
+
+    def read(key: str, cast):
+        return None if cfg[key] is None else _cast(key, cfg[key], cast)
+
+    n, t = read("n", int), read("t", int)
+    if n is None or t is None or n <= 0 or t <= 0:
         raise ConfigError("scenarios need positive --n and --t")
-    cfg["n"], cfg["t"] = int(n), int(t)
+    cfg["n"], cfg["t"] = n, t
     if cfg["scenario"] in ("stochastic", "shifting"):
-        alpha, mu = cfg["alpha"], cfg["mu"]
-        if alpha is None or not (0.0 < float(alpha) <= 1.0):
+        alpha, mu = read("alpha", float), read("mu", float)
+        if alpha is None or not (0.0 < alpha <= 1.0):
             raise ConfigError("stochastic/shifting scenarios need --alpha in (0, 1]")
-        if mu is None or not (0.0 <= float(mu) <= 1.0 - float(alpha)):
+        if mu is None or not (0.0 <= mu <= 1.0 - alpha):
             raise ConfigError("stochastic/shifting scenarios need --mu in [0, 1 - alpha]")
-        cfg["alpha"], cfg["mu"] = float(alpha), float(mu)
+        cfg["alpha"], cfg["mu"] = alpha, mu
     if cfg["scenario"] == "shifting":
-        k = cfg["k"]
-        if k is None or not (1 <= int(k) <= cfg["t"]):
+        k = read("k", int)
+        if k is None or not (1 <= k <= t):
             raise ConfigError("the shifting scenario needs --k in [1, T]")
-        cfg["k"] = int(k)
+        cfg["k"] = k
     for eps in cfg["eps"]:
         if not (0.0 < eps <= 1.0):
             raise ConfigError(f"eps values must be in (0, 1], got {eps}")
@@ -205,7 +238,7 @@ def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
     best_idx = np.argmin(cum_l, axis=1)
     regret_best = cum_p - cum_l[rounds, best_idx]
     eps = cfg["eps"][0]
-    q_idx = np.array([quantile_competitor(cum_l[t], eps) for t in range(t_len)])
+    q_idx = quantile_competitor(cum_l, eps)
     regret_quant = cum_p - cum_l[rounds, q_idx]
 
     pots = rec.potential_sums
@@ -299,8 +332,7 @@ def _tree_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
         player_loss = learner.update(x, loss_fn)
         cum += player_loss
         reg = learner.registry
-        ids = reg.ids()
-        best_edge = max(ids, key=lambda e: reg.state(e).R)
+        best_edge = reg.best_id()
         pot = reg.potential_sum()
         cert = reg.certificate()
         bound = reg.regret_bound({best_edge: 1.0})

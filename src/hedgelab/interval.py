@@ -9,10 +9,13 @@ bounds shifting regret against the best segmented competitor.
 
 The copies are rows of the expert bank that SleepingRegistry also uses, in
 birth order (row (tau-1)*N + i holds the copy of expert i born at tau), and
-every copy is updated every round: O(N*t) time per round and O(N*T) memory,
-so harness runs cap T around 20k.  Because the learner shares the bank,
-driving a registry with birth-scheduled ids reproduces its outputs bit for
-bit.
+every copy's (R, C) is updated every round: O(N*t) time per round and O(N*T)
+memory, so harness runs cap T around 20k.  Only the live copies (R > -1)
+cost an exp per round, because every other copy's weight is exactly zero:
+94% of the copies are dead at the end of a 1500-round shifting run with
+N=10, 57% after 1500 i.i.d. uniform rounds.  Because the learner shares the
+bank, driving a registry with birth-scheduled ids reproduces its outputs bit
+for bit.
 """
 
 from __future__ import annotations

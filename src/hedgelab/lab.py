@@ -127,15 +127,20 @@ def gen_stochastic_gap(n: int, t: int, alpha: float, mu: float, seed: int) -> Lo
     return LossTrace(trace.losses, seed, "stochastic", trace.meta)
 
 
-def quantile_competitor(total_losses, eps: float) -> int:
-    """Index of the ceil(N*eps)-th best expert by total loss; ties to lower index."""
+def quantile_competitor(total_losses, eps: float):
+    """Index of the ceil(N*eps)-th best expert by total loss; ties to lower index.
+
+    total_losses is a length-N vector, giving an int, or a (T, N) matrix of
+    running totals, giving one index per row as an int array.
+    """
     total_losses = np.asarray(total_losses, dtype=float)
-    n = total_losses.size
+    n = total_losses.shape[-1]
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must be in (0, 1], got {eps}")
     rank = math.ceil(n * eps)
-    order = np.argsort(total_losses, kind="stable")
-    return int(order[rank - 1])
+    order = np.argsort(total_losses, axis=-1, kind="stable")
+    picked = order[..., rank - 1]
+    return int(picked) if picked.ndim == 0 else picked
 
 
 @dataclass
@@ -151,9 +156,11 @@ def kshift_oracle(losses, k: int, player_losses=None) -> KShiftResult:
 
     The loss-minimizing partition is also the regret-maximizing segmented
     competitor, which is the object the shifting bounds refer to.  Segment
-    programming with per-expert running minima: O(K*T*N) time.  When
-    player_losses is supplied, the witness partition's truncated loss (the sum
-    of positive parts of loss minus player loss) is reported as well.
+    programming with per-expert running minima: O(K*T*N) time, one vectorised
+    pass over T per segment count.  Ties go to the lowest expert and, within
+    an expert, to the earliest cut point.  When player_losses is supplied,
+    the witness partition's truncated loss (the sum of positive parts of loss
+    minus player loss) is reported as well.
     """
     losses = np.asarray(losses, dtype=float)
     t_len, n = losses.shape
@@ -166,20 +173,20 @@ def kshift_oracle(losses, k: int, player_losses=None) -> KShiftResult:
     pick_i = np.zeros((k + 1, t_len + 1), dtype=int)
     pick_s = np.zeros((k + 1, t_len + 1), dtype=int)
     for j in range(1, k + 1):
-        best_val = np.full(n, inf)  # min over s of dp[j-1, s] - pref[s, i]
-        best_s = np.zeros(n, dtype=int)
-        for t in range(j, t_len + 1):
-            s = t - 1
-            if math.isfinite(dp[j - 1, s]):
-                cand = dp[j - 1, s] - pref[s]
-                better = cand < best_val
-                best_val[better] = cand[better]
-                best_s[better] = s
-            totals = pref[t] + best_val
-            i_star = int(np.argmin(totals))
-            dp[j, t] = totals[i_star]
-            pick_i[j, t] = i_star
-            pick_s[j, t] = best_s[i_star]
+        # Segment j covers (s, t] for a cut s in [j-1, t-1]; cand[s] is the
+        # cost of the first j-1 segments minus the prefix loss at the cut.
+        s = np.arange(j - 1, t_len)
+        cand = dp[j - 1, j - 1 : t_len, None] - pref[j - 1 : t_len]
+        best_val = np.minimum.accumulate(cand, axis=0)  # min over cuts <= s
+        before = np.vstack([np.full((1, n), inf), best_val[:-1]])
+        # The earliest minimising cut: the last cut that strictly improved the running minimum.
+        best_s = np.maximum.accumulate(np.where(cand < before, s[:, None], 0), axis=0)
+        totals = pref[j:] + best_val  # row t - j: segment j ends at round t
+        i_star = np.argmin(totals, axis=1)
+        rows = np.arange(t_len - j + 1)
+        dp[j, j:] = totals[rows, i_star]
+        pick_i[j, j:] = i_star
+        pick_s[j, j:] = best_s[rows, i_star]
     boundaries = [t_len]
     experts: list[int] = []
     t = t_len

@@ -64,6 +64,11 @@ class SleepingRegistry:
         """Registered ids in registration order."""
         return list(self._rows)
 
+    def best_id(self):
+        """Registered id with the largest cumulative regret R; the first
+        registered among ties.  Raises ValueError when nothing is registered."""
+        return self.ids()[int(np.argmax(self._bank.R))]
+
     def state(self, expert_id) -> ExpertState:
         row = self._rows[expert_id]
         return ExpertState(float(self._bank.R[row]), float(self._bank.C[row]))

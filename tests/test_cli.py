@@ -98,6 +98,39 @@ class TestArgHandling:
         )
         assert code == EXIT_BAD_CONFIG
 
+    def _run_with_config(self, tmp_path, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        return run_cli(
+            ["run", "--scenario", "shifting", "--n", "2", "--t", "5", "--k", "2", "--alpha", "0.2",
+             "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        )
+
+    def test_non_numeric_eps_flag(self, tmp_path, capsys):
+        code = run_cli(
+            ["run", "--scenario", "adversarial", "--n", "2", "--t", "5", "--eps", "abc", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_BAD_CONFIG
+        assert "error: eps" in capsys.readouterr().err
+
+    def test_non_numeric_config_value(self, tmp_path, capsys):
+        assert self._run_with_config(tmp_path, json.dumps({"n": "abc"})) == EXIT_BAD_CONFIG
+        assert "error: n" in capsys.readouterr().err
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        assert self._run_with_config(tmp_path, json.dumps([{"n": 3}])) == EXIT_BAD_CONFIG
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [{"algos": None}, {"eps": []}, {"seed": ["x"]}, {"seed": [-1]}, {"t": [5]}, {"out": 5}])
+    def test_malformed_config_value(self, tmp_path, capsys, overrides):
+        assert self._run_with_config(tmp_path, json.dumps(overrides)) == EXIT_BAD_CONFIG
+        assert "error:" in capsys.readouterr().err
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        assert self._run_with_config(tmp_path, json.dumps({"alhpa": 0.3})) == EXIT_BAD_CONFIG
+        assert "alhpa" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestRunOutputs:
     def test_uniform_first_round_across_algos(self, tmp_path):

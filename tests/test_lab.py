@@ -130,6 +130,12 @@ class TestQuantileCompetitor:
         with pytest.raises(ValueError):
             quantile_competitor([1.0, 2.0], eps)
 
+    def test_rows_match_vectors(self):
+        totals = rng_for(37, 9).integers(0, 4, size=(60, 7)).astype(float)  # many ties per row
+        for eps in (0.1, 0.3, 0.5, 0.9, 1.0):
+            picked = quantile_competitor(totals, eps)
+            assert picked.tolist() == [quantile_competitor(row, eps) for row in totals]
+
     @given(
         st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=20),
         st.floats(min_value=0.01, max_value=1.0),
@@ -140,6 +146,36 @@ class TestQuantileCompetitor:
         rank = math.ceil(len(losses) * eps)
         better = sum(1 for x in losses if x < losses[idx])
         assert better <= rank - 1  # at most rank-1 experts strictly better
+
+
+def _kshift_loop(losses, k):
+    """Per-round segment program: the reference the vectorised oracle must equal
+    in value, boundaries and experts, including every tie-break."""
+    t_len, n = losses.shape
+    pref = np.vstack([np.zeros(n), np.cumsum(losses, axis=0)])
+    dp = np.full((k + 1, t_len + 1), math.inf)
+    dp[0, 0] = 0.0
+    pick_i = np.zeros((k + 1, t_len + 1), dtype=int)
+    pick_s = np.zeros((k + 1, t_len + 1), dtype=int)
+    for j in range(1, k + 1):
+        best_val = np.full(n, math.inf)
+        best_s = np.zeros(n, dtype=int)
+        for t in range(j, t_len + 1):
+            if math.isfinite(dp[j - 1, t - 1]):
+                cand = dp[j - 1, t - 1] - pref[t - 1]
+                better = cand < best_val
+                best_val[better] = cand[better]
+                best_s[better] = t - 1
+            totals = pref[t] + best_val
+            pick_i[j, t] = int(np.argmin(totals))
+            dp[j, t] = totals[pick_i[j, t]]
+            pick_s[j, t] = best_s[pick_i[j, t]]
+    boundaries, experts, t = [t_len], [], t_len
+    for j in range(k, 0, -1):
+        experts.append(int(pick_i[j, t]))
+        t = int(pick_s[j, t])
+        boundaries.append(t)
+    return float(dp[k, t_len]), boundaries[::-1], experts[::-1]
 
 
 class TestKShiftOracle:
@@ -189,6 +225,28 @@ class TestKShiftOracle:
         )
         assert res.truncated_loss == pytest.approx(total, rel=REL)
         assert res.truncated_loss <= res.loss + 1e-12
+
+    def test_tied_costs_pick_recorded_witness(self):
+        # 104 (partition, expert) choices reach the optimum 2; the witness and
+        # its truncated loss are the ones the per-round program returned.
+        losses = np.array(
+            [[1, 1, 1], [1, 1, 1], [1, 0, 0], [0, 0, 1], [1, 0, 0],
+             [1, 0, 1], [0, 0, 1], [0, 0, 0], [1, 0, 1], [0, 0, 1]],
+            dtype=float,
+        )
+        player = np.array([0.5, 0.25, 0.75, 0.5, 1.0, 0.0, 0.5, 0.25, 0.5, 0.75])
+        res = kshift_oracle(losses, 3, player)
+        assert (res.loss, res.boundaries, res.experts, res.truncated_loss) == (2.0, [0, 1, 9, 10], [0, 1, 0], 1.25)
+
+    def test_matches_per_round_program(self):
+        rng = rng_for(41, 9)
+        for case in range(300):
+            t_len, n = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+            k = int(rng.integers(1, min(6, t_len) + 1))
+            # even cases: coarse losses, so that many partitions tie
+            losses = rng.integers(0, 3, size=(t_len, n)) / 2.0 if case % 2 == 0 else rng.random((t_len, n))
+            res = kshift_oracle(losses, k)
+            assert (res.loss, res.boundaries, res.experts) == _kshift_loop(losses, k)
 
     @pytest.mark.parametrize("k", [0, 21])
     def test_bad_k(self, k):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hedgelab import potential
 from hedgelab.potential import (
     GRID_C,
     GRID_R,
+    ExpertBank,
     ExpertState,
     PotentialParams,
     check_increment_bound,
@@ -96,6 +98,74 @@ class TestWeight:
         C = rng.uniform(0, 30, 200)
         expected = np.array([weight(r, c) for r, c in zip(R, C)])
         np.testing.assert_allclose(weight_arr(R, C), expected, rtol=REL)
+
+
+# R exactly at and just beside the edges of the zero-weight set (R <= -1) and
+# of the flat-potential set (R <= 0).
+EDGE_R = [-1.0, np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0), 0.0, np.nextafter(0.0, -1.0), np.nextafter(0.0, 1.0)]
+
+
+@st.composite
+def bank_rows(draw):
+    """Priors, (R, C) with |R| <= C, optional confidences and a row selection."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    q = np.array(draw(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=n, max_size=n)))
+    regret = st.one_of(st.sampled_from(EDGE_R), st.floats(-20.0, 20.0), st.floats(-20.0, -1.0))  # dead rows are common
+    R = np.array(draw(st.lists(regret, min_size=n, max_size=n)))
+    C = np.abs(R) + np.array(draw(st.lists(st.floats(0.0, 30.0), min_size=n, max_size=n)))
+    subsets = st.sets(st.integers(0, n - 1), min_size=1).map(lambda r: np.array(sorted(r)))
+    rows = draw(st.one_of(st.just(slice(None)), subsets))
+    size = n if isinstance(rows, slice) else rows.size
+    conf = draw(st.one_of(st.none(), st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size).map(np.array)))
+    return q, R, C, rows, conf
+
+
+def _bank(q, R, C) -> ExpertBank:
+    bank = ExpertBank()
+    bank.add(q)
+    bank.R[:], bank.C[:] = R, C
+    return bank
+
+
+class TestExpertBank:
+    """Predictions and potential sums equal the formulas evaluated on every row,
+    bit for bit, whether or not exp is skipped on the rows where the formula is
+    constant (gather_min 0 skips it on every bank, None keeps the default)."""
+
+    @pytest.mark.parametrize("gather_min", [0, None])
+    @given(case=bank_rows())
+    def test_predict_matches_dense_formula(self, gather_min, case):
+        q, R, C, rows, conf = case
+        qc = q[rows] if conf is None else q[rows] * conf
+        s = qc * weight_arr(R[rows], C[rows])
+        total = s.sum()
+        if total <= 0.0:
+            s, total = qc, qc.sum()
+        with pytest.MonkeyPatch.context() as mp:
+            if gather_min is not None:
+                mp.setattr(potential, "_GATHER_MIN_SIZE", gather_min)
+            np.testing.assert_array_equal(_bank(q, R, C).predict(rows, conf), s / total)
+
+    @pytest.mark.parametrize("gather_min", [0, None])
+    @given(case=bank_rows())
+    def test_potential_sum_matches_dense_formula(self, gather_min, case):
+        q, R, C, rows, _ = case
+        expected = float(np.dot(q[rows], phi_arr(R[rows], C[rows])) / q[rows].sum())
+        with pytest.MonkeyPatch.context() as mp:
+            if gather_min is not None:
+                mp.setattr(potential, "_GATHER_MIN_SIZE", gather_min)
+            assert _bank(q, R, C).potential_sum(rows) == expected
+
+    @pytest.mark.parametrize("gather_min", [0, None])
+    def test_all_dead_falls_back_to_prior(self, gather_min, monkeypatch):
+        if gather_min is not None:
+            monkeypatch.setattr(potential, "_GATHER_MIN_SIZE", gather_min)
+        q = np.array([0.2, 0.3, 0.5])
+        bank = _bank(q, np.array([-1.0, -2.0, -7.5]), np.array([1.0, 2.0, 7.5]))
+        np.testing.assert_array_equal(bank.predict(), q / q.sum())
+        conf = np.array([1.0, 0.5, 0.25])
+        np.testing.assert_array_equal(bank.predict(conf=conf), q * conf / (q * conf).sum())
+        assert bank.potential_sum() == 1.0
 
 
 class TestParams:

@@ -27,6 +27,19 @@ def drive_random(registry, ids, t_len, seed, conf_choices=(0.0, 0.5, 1.0)):
     return history
 
 
+class TestBestId:
+    def test_ties_go_to_first_registered(self):
+        reg = SleepingRegistry()
+        reg.update({"b": (1.0, 0.5), "a": (1.0, 0.5), "c": (1.0, 0.5)})  # rows b, a, c; every R is 0
+        assert reg.best_id() == "b"
+        reg._bank.R[:3] = [0.25, 0.5, 0.5]
+        assert reg.best_id() == "a" == max(reg.ids(), key=lambda e: reg.state(e).R)
+
+    def test_empty_registry_rejected(self):
+        with pytest.raises(ValueError):
+            SleepingRegistry().best_id()
+
+
 class TestPredict:
     def test_two_fresh_unit_priors(self):
         reg = SleepingRegistry()
