@@ -10,6 +10,12 @@ Two subcommands:
 Runs are deterministic: the same config and seeds produce byte-identical
 outputs.  Seeds x algorithms fan out to a process pool capped by the
 ANH_THREADS environment variable (default: one process per CPU).
+
+Exit codes: 0 ok; 1 a selfcheck row failed, or a run task raised (each
+failed task is named on stderr and listed under "failed_tasks" in
+summary.json, which is still written); 2 invalid config; 3 a runtime
+certificate was violated (CERTIFICATE_VIOLATION on stderr).  A run with
+both failed tasks and a violation exits 1.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -47,6 +54,7 @@ SCENARIOS = ("adversarial", "stochastic", "shifting", "tree")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
+EXIT_TASK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_CERTIFICATE_VIOLATION = 3
 
@@ -399,14 +407,23 @@ def run(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(algo, seed) for algo in cfg["algos"] for seed in cfg["seeds"]]
     workers = _worker_count(len(tasks))
-    results = []
+    results, failed = [], []
+
+    def collect(algo: str, seed: int, result) -> None:
+        try:
+            results.append(result())
+        except Exception as exc:
+            traceback.print_exc()  # in the pool, with the worker's traceback chained as its cause
+            failed.append({"algo": algo, "seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+
     if workers == 1:
         for algo, seed in tasks:
-            results.append(_run_task(cfg, algo, seed, str(out_dir)))
+            collect(algo, seed, lambda: _run_task(cfg, algo, seed, str(out_dir)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_task, cfg, algo, seed, str(out_dir)) for algo, seed in tasks]
-            results = [f.result() for f in futures]
+            for (algo, seed), future in zip(tasks, futures):
+                collect(algo, seed, future.result)
     results.sort(key=lambda r: (r["algo"], r["seed"]))
 
     aggregates: dict[str, dict] = {}
@@ -426,12 +443,17 @@ def run(cfg: dict) -> int:
         "aggregates": aggregates,
         "invariant_failures": int(total_violations),
     }
+    if failed:
+        summary["failed_tasks"] = failed
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     if total_violations > 0:
         print("CERTIFICATE_VIOLATION", file=sys.stderr)
-        return EXIT_CERTIFICATE_VIOLATION
-    return EXIT_OK
+    for task in failed:
+        print(f"task failed: algo {task['algo']} seed {task['seed']}: {task['error']}", file=sys.stderr)
+    if failed:
+        return EXIT_TASK_FAILED
+    return EXIT_CERTIFICATE_VIOLATION if total_violations > 0 else EXIT_OK
 
 
 def selfcheck(mutate_weight: float | None = None) -> int:

@@ -121,10 +121,7 @@ class FixedLearner:
         Returns +inf when u puts mass on experts with zero prior.
         """
         u = _as_prob_vector(u, self.n_experts, name="competitor")
-        a = self.bound_coefficient(u)
-        if math.isinf(a):
-            return math.inf
-        return math.sqrt(float(np.dot(u, self.C)) * a)
+        return self._regret_bound(u, self.n_experts)
 
     def regret_bound_uniform_subset(self, subset) -> float:
         """Sharper bound for u uniform over a subset S: the log-log term drops to 1."""
@@ -133,8 +130,11 @@ class FixedLearner:
             raise ValueError("subset must be nonempty")
         u = np.zeros(self.n_experts)
         u[idx] = 1.0 / idx.size
-        re = relative_entropy(u, self.q)
-        if math.isinf(re):
+        return self._regret_bound(u, None)
+
+    def _regret_bound(self, u: np.ndarray, n: int | None) -> float:
+        """sqrt((u . C) * A) with A = bound_coefficient(RE(u||q), B, n); +inf off the prior's support."""
+        a = float(bound_coefficient(relative_entropy(u, self.q), self.certificate(), n))
+        if math.isinf(a):
             return math.inf
-        b = self.certificate()
-        return math.sqrt(3.0 * float(np.dot(u, self.C)) * (re + math.log(b) + 1.0))
+        return math.sqrt(float(np.dot(u, self.C)) * a)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .potential import check_losses
 
@@ -246,8 +245,11 @@ def decomposition_bruteforce(v) -> float:
     """Reference minimum via a linear program over all contiguous intervals.
 
     Variables are one nonnegative weight per interval [s, e]; constraints force
-    the weighted interval indicators to reproduce v exactly.
+    the weighted interval indicators to reproduce v exactly.  scipy is
+    imported here, not at module scope, so that runs never load it.
     """
+    from scipy.optimize import linprog
+
     v = np.asarray(v, dtype=float)
     t_len = v.size
     intervals = [(s, e) for s in range(t_len) for e in range(s, t_len)]

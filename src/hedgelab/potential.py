@@ -146,12 +146,15 @@ def potential_cap(q: np.ndarray, C: np.ndarray) -> float:
     return 1.0 + 1.5 * float(np.dot(q, 1.0 + np.log1p(C)) / q.sum())
 
 
-def bound_coefficient(ln_inv_q, cap, n):
+def bound_coefficient(ln_inv_q, cap, n=None):
     """A = 3 (ln(1/q) + ln B + ln(1 + ln N)), so that regret <= sqrt(C_u * A)
     for a competitor at relative entropy ln_inv_q to the prior (ln(1/q) for a
     point mass), potential-sum cap B and N registered experts; arrays broadcast.
+    With n=None the log-log term is 1, the sharper form for a competitor
+    uniform over a subset of experts.
     """
-    return 3.0 * (ln_inv_q + np.log(cap) + np.log(1.0 + np.log(n)))
+    loglog = 1.0 if n is None else np.log(1.0 + np.log(n))
+    return 3.0 * (ln_inv_q + np.log(cap) + loglog)
 
 
 # Evaluating fn on a gathered subset costs a few microseconds plus about

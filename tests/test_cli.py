@@ -1,9 +1,15 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from hedgelab.cli import EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_OK, main
+import hedgelab
+from hedgelab import cli
+from hedgelab.cli import EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_OK, EXIT_TASK_FAILED, main
 from hedgelab.lab import TRACE_COLUMNS, rng_for
 from hedgelab.tree import (
     PruningTree,
@@ -240,6 +246,78 @@ class TestRunOutputs:
              "--out", str(tmp_path)]
         )
         assert code == EXIT_BAD_CONFIG
+
+
+class TestFailedTasks:
+    ARGS = ["run", "--scenario", "adversarial", "--algo", "ada,hedge", "--n", "3", "--t", "20", "--seeds", "2"]
+
+    def test_clean_run_has_no_failed_tasks_key(self, tmp_path):
+        assert run_cli(self.ARGS + ["--out", str(tmp_path)]) == EXIT_OK
+        assert "failed_tasks" not in json.loads((tmp_path / "summary.json").read_text())
+
+    def test_serial_failure_writes_summary(self, tmp_path, capsys, monkeypatch):
+        real = cli._run_task
+
+        def flaky(cfg, algo, seed, out_dir):
+            if (algo, seed) == ("hedge", 1):
+                raise RuntimeError("boom")
+            return real(cfg, algo, seed, out_dir)
+
+        monkeypatch.setattr(cli, "_run_task", flaky)
+        assert run_cli(self.ARGS + ["--out", str(tmp_path)]) == EXIT_TASK_FAILED
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["failed_tasks"] == [{"algo": "hedge", "seed": 1, "error": "RuntimeError: boom"}]
+        assert [(r["algo"], r["seed"]) for r in summary["results"]] == [("ada", 0), ("ada", 1), ("hedge", 0)]
+        assert summary["aggregates"]["hedge"]["runs"] == 1
+        assert "algo hedge seed 1: RuntimeError: boom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_short_tree_row_fails_task(self, tmp_path, capsys, tree_fixture, threads):
+        # a data row with no features, while the tree's root routes on one
+        tree_path, _ = tree_fixture
+        data_path = tmp_path / "short.csv"
+        data_path.write_text("z\n0.5\n")
+        out = tmp_path / "out"
+        code = run_cli(
+            ["run", "--scenario", "tree", "--algo", "ada", "--tree", str(tree_path), "--data", str(data_path),
+             "--seed", "0,1", "--out", str(out)],
+            env_threads=threads,
+        )
+        assert code == EXIT_TASK_FAILED
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["results"] == []
+        assert [(f["algo"], f["seed"]) for f in summary["failed_tasks"]] == [("ada", 0), ("ada", 1)]
+        assert all(f["error"].startswith("ValueError: input has no feature") for f in summary["failed_tasks"])
+        err = capsys.readouterr().err
+        assert "algo ada seed 0" in err and "algo ada seed 1" in err
+
+
+class TestColdStart:
+    def test_run_never_imports_scipy(self, tmp_path, tree_fixture):
+        """A run loads no scipy; only the interval-cover LP oracle imports it."""
+        tree_path, data_path = tree_fixture
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from hedgelab import cli
+            from hedgelab.lab import decomposition_bruteforce, decomposition_value
+
+            shifting = ["run", "--scenario", "shifting", "--algo", "tv,ada,hedge", "--n", "3", "--t", "30",
+                        "--k", "2", "--alpha", "0.3", "--out", {str(tmp_path / "shifting")!r}]
+            tree = ["run", "--scenario", "tree", "--algo", "ada", "--tree", {str(tree_path)!r},
+                    "--data", {str(data_path)!r}, "--out", {str(tmp_path / "tree")!r}]
+            assert cli.main(shifting) == 0 and cli.main(tree) == 0
+            loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            assert not loaded, loaded[:5]
+            v = [1.0, 3.0, 2.0, 2.5]
+            assert abs(decomposition_bruteforce(v) - decomposition_value(v)) < 1e-9
+            assert "scipy.optimize" in sys.modules
+            """
+        )
+        src = str(Path(hedgelab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "ANH_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSelfcheck:

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hedgelab import potential
 from hedgelab.potential import (
     GRID_C,
     GRID_R,
+    REL_TOL,
     ExpertBank,
     ExpertState,
     PotentialParams,
@@ -190,6 +191,34 @@ class TestParams:
     def test_expert_state_defaults(self):
         s = ExpertState()
         assert s.R == 0.0 and s.C == 0.0
+
+
+@st.composite
+def lemma_points(draw):
+    """(R, C, r) with C in [0, 200], |R| <= C (interior or the edges -1, 0, +-C) and r in [-1, 1]."""
+    C = draw(st.floats(min_value=0.0, max_value=200.0))
+    R = draw(st.one_of(st.floats(min_value=-C, max_value=C), st.sampled_from([-1.0, 0.0, C, -C])))
+    r = draw(st.floats(min_value=-1.0, max_value=1.0))
+    return min(max(R, -C), C), C, r
+
+
+class TestContinuousLemma:
+    """The one-step lemma and the weight identity off the grid of the grid checks."""
+
+    @given(lemma_points())
+    @settings(max_examples=2000, deadline=None)
+    def test_increment_bound(self, point):
+        R, C, r = point
+        base = phi(R, C)
+        rhs = base + weight(R, C) * r + 3.0 * abs(r) / (2.0 * (C + 1.0)) + REL_TOL * base
+        assert phi(R + r, C + abs(r)) <= rhs
+
+    @given(lemma_points())
+    @settings(max_examples=500, deadline=None)
+    def test_weight_arr_matches_weight(self, point):
+        R, C, _ = point
+        expected = weight(R, C)
+        assert abs(weight_arr(np.array([R]), np.array([C]))[0] - expected) <= REL_TOL * expected
 
 
 class TestGridChecks:
