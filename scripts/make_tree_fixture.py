@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
-"""Generate a depth-3 template tree and a zero-noise dataset drawn from one of
-its prunings, as inputs for `hedgelab run --scenario tree`."""
+"""Generate a template tree (depth 3 by default) and a dataset drawn from one
+of its prunings, as inputs for `hedgelab run --scenario tree`.
+
+The pruning cuts the first --prune internal nodes in numeric id order that
+are not below a node already cut."""
 
 import argparse
 from pathlib import Path
@@ -8,11 +11,27 @@ from pathlib import Path
 from hedgelab.lab import STREAM_TREE, rng_for
 from hedgelab.tree import (
     PruningTree,
+    TemplateTree,
     generate_tree_data,
     random_template_tree,
     save_tree,
     save_tree_data,
 )
+
+
+def choose_pruned(tree: TemplateTree, count: int) -> list[str]:
+    """The first `count` internal non-root nodes in numeric id order, skipping
+    every node below one already chosen, so that no pruned node is nested."""
+    chosen: list[str] = []
+    for nid in sorted((i for i in tree.internal_ids if i != tree.root), key=lambda i: int(i[1:])):
+        if len(chosen) == count:
+            break
+        anc = tree.parent.get(nid)
+        while anc is not None and anc not in chosen:
+            anc = tree.parent.get(anc)
+        if anc is None:
+            chosen.append(nid)
+    return chosen
 
 
 def main() -> None:
@@ -28,8 +47,7 @@ def main() -> None:
 
     rng = rng_for(args.seed, STREAM_TREE)
     tree = random_template_tree(args.depth, args.features, rng)
-    internal = sorted(i for i in tree.internal_ids if i != tree.root)
-    pruning = PruningTree(frozenset(internal[: args.prune]))
+    pruning = PruningTree(frozenset(choose_pruned(tree, args.prune)))
     pruning.validate(tree)
     data = generate_tree_data(tree, pruning, args.samples, args.features, rng, noise=args.noise)
 

@@ -160,6 +160,9 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError("the tree scenario supports only --algo ada")
         if not cfg["tree"] or not cfg["data"]:
             raise ConfigError("the tree scenario requires --tree and --data paths")
+        for key in ("tree", "data"):  # existence only: the task parses them
+            if not Path(cfg[key]).is_file():
+                raise ConfigError(f"{key} file {cfg[key]!r} does not exist")
         if cfg["loss"] not in ("squared", "absolute"):
             raise ConfigError(f"unknown loss {cfg['loss']!r}; choose squared or absolute")
         return
@@ -218,20 +221,20 @@ def generate_trace(cfg: dict, seed: int) -> LossTrace:
     raise ConfigError(f"no loss generator for scenario {scenario!r}")
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return ""
-    return repr(x)
+def _fmt_column(values) -> list[str]:
+    """Trace cells: repr of each value as a float, with NaN written as ""."""
+    return ["" if math.isnan(x) else repr(x) for x in np.asarray(values, dtype=float).tolist()]
 
 
-def _write_trace(path: Path, rows) -> None:
+def _write_trace(path: Path, algo: str, columns) -> None:
+    """Trace CSV of one task: the round, the algorithm, then one column of
+    values per remaining TRACE_COLUMNS entry (None for an empty column)."""
+    n = len(columns[0])
+    cells = [[""] * n if values is None else _fmt_column(values) for values in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
-        writer.writerows(rows)
+        writer.writerows(zip(range(1, n + 1), [algo] * n, *cells))
 
 
 def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
@@ -262,22 +265,8 @@ def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
             ln_inv_q, n_live = np.log(n * zeta), n * np.arange(1.0, t_len + 1.0)
         bounds = np.sqrt(c_best * bound_coefficient(ln_inv_q, certs, n_live))
 
-    rows = []
-    for t in range(t_len):
-        rows.append(
-            [
-                t + 1,
-                algo,
-                _fmt(rec.player_losses[t]),
-                _fmt(cum_p[t]),
-                _fmt(regret_best[t]),
-                _fmt(regret_quant[t]),
-                _fmt(pots[t]) if pots is not None else "",
-                _fmt(certs[t]) if certs is not None else "",
-                _fmt(bounds[t]) if bounds is not None else "",
-            ]
-        )
-    _write_trace(Path(out_dir) / f"trace_{algo}_seed{seed}.csv", rows)
+    columns = [rec.player_losses, cum_p, regret_best, regret_quant, pots, certs, bounds]
+    _write_trace(Path(out_dir) / f"trace_{algo}_seed{seed}.csv", algo, columns)
 
     violations = rec.certificate_violations()
     summary = {
@@ -329,11 +318,11 @@ def _tree_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
     data = load_tree_data(cfg["data"])
     loss_factory = squared_loss if cfg["loss"] == "squared" else absolute_loss
     learner = TreeLearner(tree)
-    rows = []
+    rounds = []  # (player loss, cumulative loss, best edge's R, potential sum, cap, bound) per round
     cum = 0.0
     realized_total = 0.0
     violations = 0
-    for t, (x, z) in enumerate(data, start=1):
+    for x, z in data:
         loss_fn = loss_factory(z)
         y = learner.predict(x)
         realized_total += float(loss_fn(y))
@@ -346,20 +335,10 @@ def _tree_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
         bound = reg.regret_bound({best_edge: 1.0})
         if pot > cert * (1.0 + 1e-9):
             violations += 1
-        rows.append(
-            [
-                t,
-                algo,
-                _fmt(player_loss),
-                _fmt(cum),
-                _fmt(reg.state(best_edge).R),
-                "",
-                _fmt(pot),
-                _fmt(cert),
-                _fmt(bound),
-            ]
-        )
-    _write_trace(Path(out_dir) / f"trace_{algo}_seed{seed}.csv", rows)
+        rounds.append((player_loss, cum, reg.state(best_edge).R, pot, cert, bound))
+    loss, cum_loss, best_r, pots, certs, bounds = zip(*rounds)
+    columns = [loss, cum_loss, best_r, None, pots, certs, bounds]
+    _write_trace(Path(out_dir) / f"trace_{algo}_seed{seed}.csv", algo, columns)
 
     oracle_data = [(x, loss_factory(z)) for x, z in data]
     best_loss, leaves, pruning = best_pruning(tree, oracle_data)

@@ -24,9 +24,10 @@ def relative_entropy(u: np.ndarray, q: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     q = np.asarray(q, dtype=float)
     mask = u > 0.0
-    if np.any(q[mask] == 0.0):
+    u, q = u[mask], q[mask]
+    if (q == 0.0).any():
         return math.inf
-    return float(np.sum(u[mask] * np.log(u[mask] / q[mask])))
+    return float((u * np.log(u / q)).sum())
 
 
 def _as_prob_vector(v, n: int | None = None, name: str = "vector") -> np.ndarray:

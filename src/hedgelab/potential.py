@@ -99,22 +99,38 @@ def weight(R: float, C: float) -> float:
 
 def phi_arr(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Vectorized potential.  C must be strictly positive wherever R > 0."""
-    Rp = np.maximum(R, 0.0)
+    R = np.asarray(R, dtype=float)
+    C = np.asarray(C, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        expo = np.where(Rp > 0.0, Rp * Rp / (3.0 * C), 0.0)
-        return np.exp(expo)
+        return _phi(R, C)
 
 
 def weight_arr(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Vectorized prediction weight; C >= 0 elementwise assumed.
 
-    Hot path for the interval learner, which calls it on its live copies
-    (R > -1) every round, so the two potentials are evaluated with in-place
-    buffer arithmetic; the shifted denominator 3(C+1) is always positive,
-    which keeps the corner handling of phi_arr unnecessary here.
+    The shifted denominator 3(C+1) is always positive, which keeps the corner
+    handling of phi_arr unnecessary here.
     """
-    R = np.atleast_1d(np.asarray(R, dtype=float))
-    C = np.atleast_1d(np.asarray(C, dtype=float))
+    return _weight(np.atleast_1d(np.asarray(R, dtype=float)), np.atleast_1d(np.asarray(C, dtype=float)))
+
+
+# The two kernels below take float arrays as they are and set no floating-point
+# error state: ExpertBank calls them every round of every learner, on states
+# that valid updates reach (|R| <= C, a certified potential sum), where neither
+# divides by zero nor overflows.
+
+
+def _phi(R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """phi_arr without conversions: exp([R]+^2 / (3C)), exactly 1 where R <= 0."""
+    Rp = np.maximum(R, 0.0)
+    expo = np.zeros(Rp.shape)
+    np.divide(Rp * Rp, 3.0 * C, out=expo, where=Rp > 0.0)
+    return np.exp(expo, out=expo)
+
+
+def _weight(R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """weight_arr without conversions, by in-place buffer arithmetic; the
+    interval learner calls it on its live copies (R > -1) every round."""
     denom = 3.0 * (C + 1.0)
     a = np.maximum(R + 1.0, 0.0)
     np.multiply(a, a, out=a)
@@ -210,7 +226,7 @@ class ExpertBank:
         such weight is zero, proportional to q * conf."""
         q = self.q[rows] if conf is None else self.q[rows] * conf
         # weight is exactly 0 for R <= -1
-        s = q * _evaluate_where(weight_arr, self.R[rows], self.C[rows], -1.0, 0.0)
+        s = q * _evaluate_where(_weight, self.R[rows], self.C[rows], -1.0, 0.0)
         total = s.sum()
         if total <= 0.0:
             s, total = q, q.sum()
@@ -231,7 +247,7 @@ class ExpertBank:
         if q.size == 0:
             return 1.0
         # phi is exactly 1 for R <= 0
-        phi = _evaluate_where(phi_arr, self.R[rows], self.C[rows], 0.0, 1.0)
+        phi = _evaluate_where(_phi, self.R[rows], self.C[rows], 0.0, 1.0)
         return float(np.dot(q, phi) / q.sum())
 
     def certificate(self, rows=slice(None)) -> float:

@@ -12,6 +12,11 @@ runs over the awake rows in ascending row order, so emitted traces are
 reproducible and ids need only be hashable.  An id passed with confidence 0
 is treated exactly like an absent id (not registered, state untouched,
 prediction weight 0).
+
+tree.TreeLearner registers each root-to-leaf path once through the same
+registration step, in path order, keeps its rows per leaf and calls the bank
+with them directly: an edge is never registered before its ancestors, so rows
+ascend along every path, the order the mapping API would sort them into.
 """
 
 from __future__ import annotations
@@ -75,6 +80,20 @@ class SleepingRegistry:
 
     # -- prediction and update ----------------------------------------------
 
+    def _register(self, ids) -> np.ndarray:
+        """Register the ids not seen before, in the order given, and return
+        the bank rows of all of them.  Nothing is registered when a prior is
+        invalid.
+        """
+        new = [i for i in ids if i not in self._rows]
+        priors = [float(self._prior_policy(i)) for i in new]
+        for expert_id, w in zip(new, priors):
+            if not (w > 0.0 and math.isfinite(w)):
+                raise ValueError(f"prior weight for {expert_id!r} must be positive, got {w}")
+        self._rows.update((expert_id, self._bank.q.size + k) for k, expert_id in enumerate(new))
+        self._bank.add(priors)
+        return np.array([self._rows[i] for i in ids])
+
     def _awake(self, confidences: Mapping, losses: Mapping | None = None):
         """Validate a round, register its new awake ids in the order listed,
         and return the awake (ids, rows, confidences, losses) by ascending row.
@@ -93,14 +112,7 @@ class SleepingRegistry:
             raise ValueError("at least one id must be awake (confidence > 0)")
         if losses is not None:
             losses = check_losses([losses[i] for i in ids])
-        new = [i for i in ids if i not in self._rows]
-        priors = [float(self._prior_policy(i)) for i in new]
-        for expert_id, w in zip(new, priors):
-            if not (w > 0.0 and math.isfinite(w)):
-                raise ValueError(f"prior weight for {expert_id!r} must be positive, got {w}")
-        self._rows.update((expert_id, self._bank.q.size + k) for k, expert_id in enumerate(new))
-        self._bank.add(priors)
-        rows = np.array([self._rows[i] for i in ids])
+        rows = self._register(ids)
         order = np.argsort(rows)
         ids = [ids[k] for k in order]
         return ids, rows[order], np.array(conf)[order], None if losses is None else losses[order]
@@ -148,14 +160,19 @@ class SleepingRegistry:
         unregistered id yields +inf.
         """
         mass = np.array([float(v) for v in u.values()])
-        if np.any(mass < 0.0) or not math.isclose(mass.sum(), 1.0, rel_tol=1e-9):
+        if (mass < 0.0).any() or not math.isclose(mass.sum(), 1.0, rel_tol=1e-9):
             raise ValueError("competitor must be a probability distribution")
         uvec = np.zeros(self.seen_count)
-        for expert_id, v in u.items():
-            if float(v) > 0.0:
+        for expert_id, v in zip(u, mass.tolist()):
+            if v > 0.0:
                 if expert_id not in self._rows:
                     return math.inf
-                uvec[self._rows[expert_id]] = float(v)
-        re = relative_entropy(uvec, self._bank.q / self._bank.q.sum())  # finite: every prior is positive
+                uvec[self._rows[expert_id]] = v
+        # The relative entropy sums over the support only, in ascending row
+        # order; the other rows carry no mass.  Every prior is positive, so it
+        # is finite.
+        support = np.flatnonzero(uvec)
+        q = self._bank.q
+        re = relative_entropy(uvec[support], q[support] / q.sum())
         c_u = float(np.dot(uvec, self._bank.C))
         return math.sqrt(c_u * bound_coefficient(re, self.certificate(), self.seen_count))

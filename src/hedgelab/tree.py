@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .potential import PotentialParams
+from .potential import PotentialParams, check_losses
 from .sleeping import SleepingRegistry
 
 __all__ = [
@@ -227,36 +227,60 @@ def absolute_loss(target: float) -> LossFn:
 
 
 class TreeLearner:
-    """Online forecaster mixing edge-expert predictions of a template tree."""
+    """Online forecaster mixing edge-expert predictions of a template tree.
+
+    Edges are the ids of a SleepingRegistry.  Each leaf's root-to-leaf path is
+    resolved once and kept: its edges, their child predictions and, once
+    registered, their bank rows.  New edges are registered in path order and
+    never before their ancestors, so rows ascend along every path.  A round
+    routes x to its leaf and calls the registry's bank with the kept rows,
+    which gives the mapping API's results bit for bit (every confidence is 1).
+    """
 
     def __init__(self, tree: TemplateTree, params: PotentialParams | None = None):
         self.tree = tree
         self.registry = SleepingRegistry(params=params)
+        self._paths: dict[str, tuple[list[Edge], np.ndarray]] = {}  # leaf -> (edges, child predictions)
+        self._rows: dict[str, np.ndarray] = {}  # leaf -> bank rows of its edges, once registered
 
     @property
     def edges_seen(self) -> int:
         """Distinct traversed edges so far (the live expert count)."""
         return self.registry.seen_count
 
-    def _edge_values(self, x) -> tuple[list[Edge], np.ndarray]:
-        path = self.tree.traverse(x)
-        preds = np.array([self.tree.nodes[child].prediction for _, child in path])
-        return path, preds
+    def _path(self, x) -> tuple[str, list[Edge], np.ndarray]:
+        """The leaf x reaches, with the edges and child predictions of its path."""
+        nid = self.tree.root
+        while not self.tree.nodes[nid].is_leaf:
+            nid = self.tree.route_child(nid, x)
+        path = self._paths.get(nid)
+        if path is None:
+            edges = self.tree.traverse(x)
+            path = self._paths[nid] = (edges, np.array([self.tree.nodes[child].prediction for _, child in edges]))
+        return (nid, *path)
+
+    def _leaf_rows(self, leaf: str, edges: list[Edge]) -> np.ndarray:
+        rows = self._rows.get(leaf)
+        if rows is None:
+            rows = self._rows[leaf] = self.registry._register(edges)
+        return rows
 
     def predict(self, x) -> float:
         """Convex combination of child predictions along the traversed path."""
-        path, preds = self._edge_values(x)
-        p = self.registry.predict({edge: 1.0 for edge in path})
-        return float(sum(p[edge] * pred for edge, pred in zip(path, preds)))
+        leaf, edges, preds = self._path(x)
+        p = self.registry._bank.predict(self._leaf_rows(leaf, edges))
+        return float(sum(w * pred for w, pred in zip(p.tolist(), preds)))
 
     def update(self, x, loss_fn: LossFn) -> float:
         """Charge each awake edge loss_fn(its prediction); return the mixture loss.
 
         The returned value upper-bounds loss_fn(self.predict(x)) whenever
-        loss_fn is convex.
+        loss_fn is convex.  Losses outside [0, 1] raise before any edge is
+        registered.
         """
-        path, preds = self._edge_values(x)
-        return self.registry.update({edge: (1.0, float(loss_fn(pred))) for edge, pred in zip(path, preds)})
+        leaf, edges, preds = self._path(x)
+        losses = check_losses([float(loss_fn(pred)) for pred in preds])
+        return self.registry._bank.update(losses, self._leaf_rows(leaf, edges))
 
     def terminal_edges(self, pruning: PruningTree) -> list[Edge]:
         """Edges into the effective leaves of a pruning of the template."""

@@ -5,6 +5,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hedgelab
@@ -136,6 +137,45 @@ class TestArgHandling:
         assert self._run_with_config(tmp_path, json.dumps({"alhpa": 0.3})) == EXIT_BAD_CONFIG
         assert "alhpa" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestTreeFiles:
+    @pytest.mark.parametrize("missing", ["tree", "data"])
+    def test_missing_file_is_bad_config(self, tmp_path, capsys, tree_fixture, missing):
+        paths = dict(zip(("tree", "data"), map(str, tree_fixture)))
+        paths[missing] = str(tmp_path / "absent")
+        out = tmp_path / "out"
+        code = run_cli(
+            ["run", "--scenario", "tree", "--algo", "ada", "--tree", paths["tree"], "--data", paths["data"],
+             "--out", str(out)]
+        )
+        assert code == EXIT_BAD_CONFIG
+        assert f"error: {missing} file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_tree_file_fails_task(self, tmp_path, capsys, tree_fixture):
+        tree_path = tmp_path / "bad.json"
+        tree_path.write_text("{not json")
+        out = tmp_path / "out"
+        code = run_cli(
+            ["run", "--scenario", "tree", "--algo", "ada", "--tree", str(tree_path), "--data", str(tree_fixture[1]),
+             "--out", str(out)]
+        )
+        assert code == EXIT_TASK_FAILED
+        assert json.loads((out / "summary.json").read_text())["failed_tasks"][0]["error"].startswith("JSONDecodeError")
+
+
+class TestTraceCells:
+    def test_floats_as_repr_and_nan_empty(self):
+        values = np.array([0.1, np.nan, np.inf, -0.0, 1e-300, 2.0 / 3.0])
+        assert cli._fmt_column(values) == ["0.1", "", "inf", "-0.0", "1e-300", repr(2.0 / 3.0)]
+        assert cli._fmt_column([0.5, float("nan")]) == ["0.5", ""]
+
+    def test_trace_file_bytes(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        cli._write_trace(path, "ada", [[0.25, 0.5], [0.25, 0.75], [np.nan, 1.0], None, None, None, [3.0, 4.0]])
+        header = ",".join(TRACE_COLUMNS)
+        assert path.read_text() == f"{header}\n1,ada,0.25,0.25,,,,,3.0\n2,ada,0.5,0.75,1.0,,,,4.0\n"
 
 
 class TestRunOutputs:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,22 @@ class TestPhi:
         C = rng.uniform(0.01, 20, 100)
         expected = np.array([phi(r, c) for r, c in zip(R, C)])
         np.testing.assert_allclose(phi_arr(R, C), expected, rtol=REL)
+
+    def test_masked_divide_matches_where_formula(self):
+        # exp(where(R > 0, R^2 / (3C), 0)) bit for bit, with R <= 0 beside C = 0
+        rng = np.random.default_rng(1)
+        R = np.concatenate([rng.uniform(-5, 5, 200), [0.0, -0.0, -1.0, 0.0]])
+        C = np.concatenate([rng.uniform(0.01, 20, 200), [0.0, 0.0, 0.0, 3.0]])
+        Rp = np.maximum(R, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.exp(np.where(Rp > 0.0, Rp * Rp / (3.0 * C), 0.0))
+        np.testing.assert_array_equal(phi_arr(R, C), expected)
+
+    def test_unreachable_states_stay_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = phi_arr(np.array([1.0, 1e3, 0.0]), np.array([0.0, 1.0, 0.0]))
+        np.testing.assert_array_equal(got, [np.inf, np.inf, 1.0])
 
 
 class TestWeight:

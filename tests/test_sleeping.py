@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hedgelab.fixed import FixedLearner
+from hedgelab.fixed import FixedLearner, relative_entropy
 from hedgelab.lab import rng_for
-from hedgelab.potential import weight
+from hedgelab.potential import bound_coefficient, weight
 from hedgelab.sleeping import ConfidenceRound, SleepingRegistry
 
 REL = 1e-9
@@ -234,6 +234,22 @@ class TestCertificates:
             comp = dict(zip(ids, u))
             total = sum(u_i * realized[i] for i, u_i in comp.items())
             assert total <= reg.regret_bound(comp) * (1 + REL) + 1e-12
+
+    def test_regret_bound_matches_full_length_formula(self):
+        # the relative entropy over the support rows equals the one over all
+        # rows, bit for bit, for competitors listed in any order
+        reg = SleepingRegistry(prior_policy=lambda i: 1.0 + ord(i) % 3)
+        ids = list("abcdefg")
+        drive_random(reg, ids, 120, seed=67)
+        q, C = reg._bank.q, reg._bank.C
+        rng = rng_for(71, 5)
+        for size in [1, 7] + [3, 4, 5, 6] * 25:
+            chosen = list(rng.permutation(ids)[:size])
+            comp = dict(zip(chosen, rng.dirichlet(np.ones(size))))
+            uvec = np.array([comp.get(i, 0.0) for i in reg.ids()])
+            re = relative_entropy(uvec, q / q.sum())
+            expected = math.sqrt(float(np.dot(uvec, C)) * bound_coefficient(re, reg.certificate(), reg.seen_count))
+            assert reg.regret_bound(comp) == expected
 
     def test_unregistered_competitor_mass_is_infinite(self):
         reg = SleepingRegistry()

@@ -1,10 +1,13 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hedgelab.lab import rng_for
+from hedgelab.sleeping import SleepingRegistry
 from hedgelab.tree import (
     PruningTree,
     TemplateTree,
@@ -229,6 +232,84 @@ class TestTreeLearner:
             assert learner.edges_seen <= t * tree.depth()
 
 
+class MappingTreeLearner:
+    """The tree learner written against the registry's mapping API: route,
+    build the awake edge map, and let the registry sort the rows each round.
+    The reference for TreeLearner's per-leaf memo."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.registry = SleepingRegistry()
+
+    def _edge_values(self, x):
+        path = self.tree.traverse(x)
+        return path, np.array([self.tree.nodes[child].prediction for _, child in path])
+
+    def predict(self, x):
+        path, preds = self._edge_values(x)
+        p = self.registry.predict({edge: 1.0 for edge in path})
+        return float(sum(p[edge] * pred for edge, pred in zip(path, preds)))
+
+    def update(self, x, loss_fn):
+        path, preds = self._edge_values(x)
+        return self.registry.update({edge: (1.0, float(loss_fn(pred))) for edge, pred in zip(path, preds)})
+
+
+def assert_same_registry(a, b):
+    assert a.ids() == b.ids()
+    for name in ("q", "R", "C"):
+        assert getattr(a._bank, name).tobytes() == getattr(b._bank, name).tobytes(), name
+
+
+class TestLeafMemoEquivalence:
+    """TreeLearner equals the mapping-API learner bit for bit: predictions,
+    player losses, registration order and every row's (q, R, C)."""
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5, 6])
+    def test_random_trees(self, depth):
+        rng = rng_for(100 + depth, 2)
+        n_features = 3
+        tree = random_template_tree(depth, n_features, rng)
+        memo, ref = TreeLearner(tree), MappingTreeLearner(tree)
+        for _ in range(300):
+            x = rng.uniform(0, 1, n_features)
+            loss_fn = (squared_loss if rng.random() < 0.5 else absolute_loss)(float(rng.uniform(0, 1)))
+            if rng.random() < 0.7:  # otherwise the round starts with update
+                assert memo.predict(x) == ref.predict(x)
+            assert memo.update(x, loss_fn) == ref.update(x, loss_fn)
+        assert memo.edges_seen == ref.registry.seen_count
+        assert_same_registry(memo.registry, ref.registry)
+
+    def test_update_before_predict_registers_path_in_order(self, depth2_tree):
+        memo, ref = TreeLearner(depth2_tree), MappingTreeLearner(depth2_tree)
+        for x, z in [([0.9, 0.0], 0.3), ([0.1, 0.9], 0.8), ([0.1, 0.1], 0.0), ([0.1, 0.9], 1.0)]:
+            assert memo.update(x, squared_loss(z)) == ref.update(x, squared_loss(z))
+            assert memo.predict(x) == ref.predict(x)
+        assert memo.registry.ids() == [("root", "b"), ("root", "a"), ("a", "ar"), ("a", "al")]
+        assert_same_registry(memo.registry, ref.registry)
+
+    def test_bad_loss_registers_nothing(self, depth2_tree):
+        memo, ref = TreeLearner(depth2_tree), MappingTreeLearner(depth2_tree)
+        for learner in (memo, ref):
+            learner.update([0.9, 0.0], squared_loss(0.5))
+            with pytest.raises(ValueError, match=r"losses must lie in \[0, 1\]"):
+                learner.update([0.1, 0.1], lambda y: y - 1.5)
+            assert learner.registry.ids() == [("root", "b")]
+        assert memo.update([0.1, 0.1], squared_loss(0.2)) == ref.update([0.1, 0.1], squared_loss(0.2))
+        assert_same_registry(memo.registry, ref.registry)
+
+    def test_missing_feature_raises_same_error(self, depth2_tree):
+        memo, ref = TreeLearner(depth2_tree), MappingTreeLearner(depth2_tree)
+        for call in (lambda lr: lr.predict([0.1]), lambda lr: lr.update([0.1], squared_loss(0.5))):
+            messages = []
+            for learner in (memo, ref):
+                with pytest.raises(ValueError) as exc:
+                    call(learner)
+                messages.append(str(exc.value))
+                assert learner.registry.ids() == []
+            assert messages[0] == messages[1] == "input has no feature 1 required by node 'a'"
+
+
 class TestBestPruning:
     def test_recovers_generating_pruning(self):
         rng = rng_for(4, 2)
@@ -353,3 +434,35 @@ class TestSerialization:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             load_tree_data(path)
+
+
+def load_fixture_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_tree_fixture.py"
+    spec = importlib.util.spec_from_file_location("make_tree_fixture", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFixtureScript:
+    def test_depth5_writes_valid_fixture(self, tmp_path, monkeypatch, capsys):
+        script = load_fixture_script()
+        out = tmp_path / "fixtures"
+        monkeypatch.setattr("sys.argv", ["make_tree_fixture.py", "--depth", "5", "--samples", "40", "--out", str(out)])
+        script.main()
+        tree = load_tree(out / "tree.json")
+        assert tree.depth() == 5
+        assert len(load_tree_data(out / "data.csv")) == 40
+        # n10 lies below n1, so the second cut is the first id outside n1's subtree
+        assert "generating pruning: ['n1', 'n32']" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("depth", [2, 4, 6])
+    def test_chosen_nodes_never_nested(self, depth):
+        script = load_fixture_script()
+        tree = random_template_tree(depth, 2, rng_for(depth, 2))
+        left, right = tree.nodes[tree.root].children
+        for count in range(1, 5):
+            chosen = script.choose_pruned(tree, count)
+            # the root's two children come first in id order and cover every other candidate
+            assert chosen == [left, right][:count]
+            PruningTree(frozenset(chosen)).validate(tree)
