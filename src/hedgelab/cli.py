@@ -8,8 +8,9 @@ Two subcommands:
              batteries; print one row per check and exit nonzero on failure.
 
 Runs are deterministic: the same config and seeds produce byte-identical
-outputs.  Seeds x algorithms fan out to a process pool capped by the
-ANH_THREADS environment variable (default: one process per CPU).
+outputs at a fixed OpenBLAS thread count.  Seeds x algorithms fan out to a
+process pool capped by the ANH_THREADS environment variable (default: one
+process per CPU).
 
 Exit codes: 0 ok; 1 a selfcheck row failed, or a run task raised (each
 failed task is named on stderr and listed under "failed_tasks" in
@@ -34,7 +35,7 @@ import numpy as np
 
 from .checks import selfcheck_results
 from .fixed import FixedLearner
-from .interval import TvLearner, interval_bound
+from .interval import TvLearner, interval_bound, tv_prior
 from .lab import (
     TRACE_COLUMNS,
     HedgeLearner,
@@ -75,6 +76,13 @@ CONFIG_KEYS = (
 )
 
 
+def integer(value) -> int:
+    """int(value), refusing booleans and fractional numbers, which int() truncates."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
 def _cast(key: str, value, cast):
     try:
         return cast(value)
@@ -107,7 +115,7 @@ def build_config(args: argparse.Namespace) -> dict:
         "loss": args.loss,
     }
     if args.seed is not None:
-        cfg["seeds"] = _parse_list("seed", args.seed, int)
+        cfg["seeds"] = _parse_list("seed", args.seed, integer)
     elif args.seeds is not None:
         cfg["seeds"] = list(range(int(args.seeds)))
     else:
@@ -127,10 +135,10 @@ def build_config(args: argparse.Namespace) -> dict:
                 cfg["algos"] = _parse_list(key, value, str)
             elif key == "eps":
                 cfg["eps"] = _parse_list(key, value, float)
-            elif key == "seeds":
-                cfg["seeds"] = list(range(int(value))) if isinstance(value, int) else _parse_list(key, value, int)
-            elif key == "seed":
-                cfg["seeds"] = _parse_list(key, value, int)
+            elif key == "seeds" and isinstance(value, int):
+                cfg["seeds"] = list(range(_cast(key, value, integer)))
+            elif key in ("seeds", "seed"):
+                cfg["seeds"] = _parse_list(key, value, integer)
             else:
                 cfg[key] = value
     validate_config(cfg)
@@ -170,7 +178,7 @@ def validate_config(cfg: dict) -> None:
     def read(key: str, cast):
         return None if cfg[key] is None else _cast(key, cfg[key], cast)
 
-    n, t = read("n", int), read("t", int)
+    n, t = read("n", integer), read("t", integer)
     if n is None or t is None or n <= 0 or t <= 0:
         raise ConfigError("scenarios need positive --n and --t")
     cfg["n"], cfg["t"] = n, t
@@ -182,7 +190,7 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError("stochastic/shifting scenarios need --mu in [0, 1 - alpha]")
         cfg["alpha"], cfg["mu"] = alpha, mu
     if cfg["scenario"] == "shifting":
-        k = read("k", int)
+        k = read("k", integer)
         if k is None or not (1 <= k <= t):
             raise ConfigError("the shifting scenario needs --k in [1, T]")
         cfg["k"] = k
@@ -261,7 +269,7 @@ def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
         if algo == "ada":
             ln_inv_q, n_live = math.log(n), n
         else:  # tv: copy born at round 1, prior 1/1^2 over the growing registry
-            zeta = np.cumsum(1.0 / np.arange(1.0, t_len + 1.0) ** 2)
+            _, zeta = tv_prior(t_len)
             ln_inv_q, n_live = np.log(n * zeta), n * np.arange(1.0, t_len + 1.0)
         bounds = np.sqrt(c_best * bound_coefficient(ln_inv_q, certs, n_live))
 
@@ -275,7 +283,6 @@ def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
         "final_player_loss": float(cum_p[-1]),
         "final_regret_best": float(regret_best[-1]),
         "final_regret_quantile": {repr(e): float(cum_p[-1] - cum_l[-1, quantile_competitor(cum_l[-1], e)]) for e in cfg["eps"]},
-        "certificate_violations": int(violations),
     }
     if want_cert:
         summary["final_potential_sum"] = float(pots[-1])
@@ -298,16 +305,8 @@ def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
         summary["kshift_boundaries"] = oracle.boundaries
         summary["kshift_experts"] = oracle.experts
         if algo == "tv":
-            cert_sum = sum(
-                interval_bound(
-                    rec.player_losses,
-                    trace.losses,
-                    oracle.boundaries[j] + 1,
-                    oracle.boundaries[j + 1],
-                    oracle.experts[j],
-                )
-                for j in range(cfg["k"])
-            )
+            segments = zip(oracle.boundaries[:-1], oracle.boundaries[1:], oracle.experts)
+            cert_sum = sum(interval_bound(rec.player_losses, trace.losses, b + 1, e, i) for b, e, i in segments)
             summary["kshift_certificate_sum"] = float(cert_sum)
     summary["certificate_violations"] = int(violations)
     return summary
@@ -321,22 +320,14 @@ def _tree_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
     rounds = []  # (player loss, cumulative loss, best edge's R, potential sum, cap, bound) per round
     cum = 0.0
     realized_total = 0.0
-    violations = 0
     for x, z in data:
         loss_fn = loss_factory(z)
-        y = learner.predict(x)
+        y, player_loss = learner.play_round(x, loss_fn)
         realized_total += float(loss_fn(y))
-        player_loss = learner.update(x, loss_fn)
         cum += player_loss
-        reg = learner.registry
-        best_edge = reg.best_id()
-        pot = reg.potential_sum()
-        cert = reg.certificate()
-        bound = reg.regret_bound({best_edge: 1.0})
-        if pot > cert * (1.0 + 1e-9):
-            violations += 1
-        rounds.append((player_loss, cum, reg.state(best_edge).R, pot, cert, bound))
+        rounds.append((player_loss, cum, *learner.registry.round_record()))
     loss, cum_loss, best_r, pots, certs, bounds = zip(*rounds)
+    violations = sum(pot > cert * (1.0 + 1e-9) for pot, cert in zip(pots, certs))
     columns = [loss, cum_loss, best_r, None, pots, certs, bounds]
     _write_trace(Path(out_dir) / f"trace_{algo}_seed{seed}.csv", algo, columns)
 
@@ -382,10 +373,10 @@ def _worker_count(n_tasks: int) -> int:
 
 
 def run(cfg: dict) -> int:
+    tasks = [(algo, seed) for algo in cfg["algos"] for seed in cfg["seeds"]]
+    workers = _worker_count(len(tasks))  # a bad ANH_THREADS raises before the output directory exists
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(algo, seed) for algo in cfg["algos"] for seed in cfg["seeds"]]
-    workers = _worker_count(len(tasks))
     results, failed = [], []
 
     def collect(algo: str, seed: int, result) -> None:
@@ -492,11 +483,10 @@ def main(argv=None) -> int:
     if args.command == "selfcheck":
         return selfcheck(args.mutate_weight)
     try:
-        cfg = build_config(args)
+        return run(build_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .potential import ExpertBank, PotentialParams, bound_coefficient, check_losses
 
-__all__ = ["FixedLearner", "relative_entropy"]
+__all__ = ["FixedLearner", "relative_entropy", "competitor_bound"]
 
 
 def relative_entropy(u: np.ndarray, q: np.ndarray) -> float:
@@ -28,6 +28,13 @@ def relative_entropy(u: np.ndarray, q: np.ndarray) -> float:
     if (q == 0.0).any():
         return math.inf
     return float((u * np.log(u / q)).sum())
+
+
+def competitor_bound(u, q, c_u: float, cap: float, n: int | None) -> float:
+    """Regret bound sqrt(c_u * A) for a competitor u with accumulator c_u = u . C,
+    A = bound_coefficient(RE(u||q), cap, n); +inf when u leaves q's support."""
+    a = float(bound_coefficient(relative_entropy(u, q), cap, n))
+    return math.inf if math.isinf(a) else math.sqrt(c_u * a)
 
 
 def _as_prob_vector(v, n: int | None = None, name: str = "vector") -> np.ndarray:
@@ -111,6 +118,10 @@ class FixedLearner:
         """
         return self._bank.certificate()
 
+    def certify(self) -> tuple[float, float]:
+        """(potential_sum(), certificate()) from one pass over the bank."""
+        return self._bank.certify()
+
     def bound_coefficient(self, u) -> float:
         """A(u) = 3 * (RE(u||q) + ln B + ln(1 + ln N)) for competitor u."""
         u = _as_prob_vector(u, self.n_experts, name="competitor")
@@ -134,8 +145,4 @@ class FixedLearner:
         return self._regret_bound(u, None)
 
     def _regret_bound(self, u: np.ndarray, n: int | None) -> float:
-        """sqrt((u . C) * A) with A = bound_coefficient(RE(u||q), B, n); +inf off the prior's support."""
-        a = float(bound_coefficient(relative_entropy(u, self.q), self.certificate(), n))
-        if math.isinf(a):
-            return math.inf
-        return math.sqrt(float(np.dot(u, self.C)) * a)
+        return competitor_bound(u, self.q, float(np.dot(u, self.C)), self.certificate(), n)

@@ -28,6 +28,7 @@ from .potential import ExpertBank, bound_coefficient, check_losses, potential_ca
 
 __all__ = [
     "TvLearner",
+    "tv_prior",
     "adaptive_regret",
     "interval_bound",
     "check_all_interval_bounds",
@@ -84,6 +85,10 @@ class TvLearner:
         """Round-by-round upper bound for the potential sum over live copies."""
         return self._bank.certificate(slice(0, self.n_sleeping))
 
+    def certify(self) -> tuple[float, float]:
+        """(potential_sum(), certificate()) from one pass over the live copies."""
+        return self._bank.certify(slice(0, self.n_sleeping))
+
 
 # ---------------------------------------------------------------------------
 # Interval regret and its certificates, computed from a recorded trace.
@@ -118,6 +123,13 @@ def _prefixes(player_losses, losses):
     return pref_r, pref_a
 
 
+def tv_prior(T: int) -> tuple[np.ndarray, np.ndarray]:
+    """Birth priors q_tau = 1/tau^2 and their sums zeta_t over tau <= t, for t = 1..T:
+    a copy born at tau has normalized prior q_tau / (N zeta_t) among N*t copies."""
+    qtau = 1.0 / np.arange(1.0, T + 1.0) ** 2
+    return qtau, np.cumsum(qtau)
+
+
 def _certificate_at(pref_a, qtau, zeta, t2: int, n: int) -> float:
     # potential-sum cap over the n*t2 copies alive at the end of round t2
     return potential_cap(np.repeat(qtau[:t2], n), (pref_a[t2][None, :] - pref_a[0:t2]).ravel())
@@ -135,10 +147,9 @@ def interval_bound(player_losses, losses, t1: int, t2: int, i: int) -> float:
     if not (1 <= t1 <= t2 <= T):
         raise ValueError(f"need 1 <= t1 <= t2 <= {T}, got [{t1}, {t2}]")
     pref_r, pref_a = _prefixes(player_losses, losses)
-    qtau = 1.0 / np.arange(1.0, T + 1.0) ** 2
-    zeta = np.concatenate([[0.0], np.cumsum(qtau)])
+    qtau, zeta = tv_prior(T)
     c_int = float(pref_a[t2, i] - pref_a[t1 - 1, i])
-    ln_inv_q = math.log(N * zeta[t2]) + 2.0 * math.log(t1)
+    ln_inv_q = math.log(N * zeta[t2 - 1]) + 2.0 * math.log(t1)
     return math.sqrt(c_int * bound_coefficient(ln_inv_q, _certificate_at(pref_a, qtau, zeta, t2, N), N * t2))
 
 
@@ -148,15 +159,14 @@ def check_all_interval_bounds(player_losses, losses, rel_tol: float = 1e-9):
     player_losses, losses = _validate_trace(player_losses, losses)
     T, N = losses.shape
     pref_r, pref_a = _prefixes(player_losses, losses)
-    qtau = 1.0 / np.arange(1.0, T + 1.0) ** 2
-    zeta = np.concatenate([[0.0], np.cumsum(qtau)])
+    qtau, zeta = tv_prior(T)
     log_t1 = np.log(np.arange(1.0, T + 1.0))
     checked = 0
     failures = 0
     worst = math.inf
     for t2 in range(1, T + 1):
         cap = _certificate_at(pref_a, qtau, zeta, t2, N)
-        ln_inv_q = math.log(N * zeta[t2]) + 2.0 * log_t1[:t2]
+        ln_inv_q = math.log(N * zeta[t2 - 1]) + 2.0 * log_t1[:t2]
         r_int = pref_r[t2][None, :] - pref_r[0:t2]
         c_int = pref_a[t2][None, :] - pref_a[0:t2]
         bound = np.sqrt(c_int * bound_coefficient(ln_inv_q[:, None], cap, N * t2))

@@ -268,14 +268,18 @@ def decomposition_bruteforce(v) -> float:
     return float(res.fun)
 
 
-def timevarying_regret(player_losses, losses, useq) -> float:
-    """Regret against a sequence of nonnegative competitor vectors."""
-    player_losses = np.asarray(player_losses, dtype=float)
+def _competitor_regrets(player_losses, losses, useq) -> tuple[np.ndarray, np.ndarray]:
+    """The competitor sequence and the per-round regrets player_loss - loss."""
     losses = np.asarray(losses, dtype=float)
     useq = np.asarray(useq, dtype=float)
     if useq.shape != losses.shape:
         raise ValueError(f"competitor sequence shape {useq.shape} != losses shape {losses.shape}")
-    r = player_losses[:, None] - losses
+    return useq, np.asarray(player_losses, dtype=float)[:, None] - losses
+
+
+def timevarying_regret(player_losses, losses, useq) -> float:
+    """Regret against a sequence of nonnegative competitor vectors."""
+    useq, r = _competitor_regrets(player_losses, losses, useq)
     return float(np.sum(useq * r))
 
 
@@ -285,12 +289,7 @@ def tv_bound(player_losses, losses, useq, a_coeff: float, z_kind: str = "abs_reg
     z_kind 'abs_regret' uses |player_loss - loss|; 'excess_loss' uses
     [loss - player_loss]_+.  a_coeff is the caller's interval-regret constant.
     """
-    player_losses = np.asarray(player_losses, dtype=float)
-    losses = np.asarray(losses, dtype=float)
-    useq = np.asarray(useq, dtype=float)
-    if useq.shape != losses.shape:
-        raise ValueError(f"competitor sequence shape {useq.shape} != losses shape {losses.shape}")
-    r = player_losses[:, None] - losses
+    useq, r = _competitor_regrets(player_losses, losses, useq)
     if z_kind == "abs_regret":
         z = np.abs(r)
     elif z_kind == "excess_loss":
@@ -390,7 +389,7 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
     (t, p) -> loss vector and losses is interpreted as the horizon via its
     first dimension (the produced losses are recorded and returned).  With
     certificates=True the per-round potential sum and its cap are recorded
-    (learners without those methods yield None entries).
+    from one certify() call (learners without that method yield None entries).
     """
     if adversary is None:
         losses = np.asarray(losses, dtype=float)
@@ -399,7 +398,7 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
     else:
         t_len = int(losses)
         realized = None
-    record = certificates and hasattr(learner, "potential_sum") and hasattr(learner, "certificate")
+    record = certificates and hasattr(learner, "certify")
     player = np.empty(t_len)
     pots = np.empty(t_len) if record else None
     certs = np.empty(t_len) if record else None
@@ -413,8 +412,7 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
             rows.append(lvec)
         player[t] = learner.update(lvec)
         if record:
-            pots[t] = learner.potential_sum()
-            certs[t] = learner.certificate()
+            pots[t], certs[t] = learner.certify()
     if adversary is not None:
         realized = np.vstack(rows)
     return RunRecord(player, realized, pots, certs)

@@ -27,8 +27,8 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .fixed import relative_entropy
-from .potential import ExpertBank, ExpertState, PotentialParams, bound_coefficient, check_losses
+from .fixed import competitor_bound
+from .potential import ExpertBank, ExpertState, PotentialParams, check_losses
 
 __all__ = ["ExpertId", "ConfidenceRound", "SleepingRegistry"]
 
@@ -151,6 +151,20 @@ class SleepingRegistry:
         """Round-by-round upper bound for the potential sum (d = 1 only)."""
         return self._bank.certificate()
 
+    def certify(self) -> tuple[float, float]:
+        """(potential_sum(), certificate()) from one pass over the bank."""
+        return self._bank.certify()
+
+    def round_record(self) -> tuple[float, float, float, float]:
+        """One round's certificate record from one certify() pass: the R of
+        best_id(), the potential sum, its cap and regret_bound({best_id(): 1.0})."""
+        bank = self._bank
+        best = int(np.argmax(bank.R))  # the first registered among ties, as best_id()
+        pot, cap = bank.certify()
+        # for a point mass, u . C is C[best] exactly
+        bound = competitor_bound(np.ones(1), bank.q[[best]] / bank.q.sum(), float(bank.C[best]), cap, self.seen_count)
+        return float(bank.R[best]), pot, cap, bound
+
     def regret_bound(self, u: Mapping) -> float:
         """Anytime bound on the confidence-weighted regret to competitor u.
 
@@ -169,10 +183,7 @@ class SleepingRegistry:
                     return math.inf
                 uvec[self._rows[expert_id]] = v
         # The relative entropy sums over the support only, in ascending row
-        # order; the other rows carry no mass.  Every prior is positive, so it
-        # is finite.
+        # order; the other rows carry no mass.
         support = np.flatnonzero(uvec)
-        q = self._bank.q
-        re = relative_entropy(uvec[support], q[support] / q.sum())
-        c_u = float(np.dot(uvec, self._bank.C))
-        return math.sqrt(c_u * bound_coefficient(re, self.certificate(), self.seen_count))
+        q, c_u = self._bank.q, float(np.dot(uvec, self._bank.C))
+        return competitor_bound(uvec[support], q[support] / q.sum(), c_u, self.certificate(), self.seen_count)

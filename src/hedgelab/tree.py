@@ -232,44 +232,46 @@ class TreeLearner:
     Edges are the ids of a SleepingRegistry.  Each leaf's root-to-leaf path is
     resolved once and kept: its edges, their child predictions and, once
     registered, their bank rows.  New edges are registered in path order and
-    never before their ancestors, so rows ascend along every path.  A round
+    never before their ancestors, so rows ascend along every path.  A call
     routes x to its leaf and calls the registry's bank with the kept rows,
     which gives the mapping API's results bit for bit (every confidence is 1).
+    play_round does a whole round in one pass, routing x once and computing
+    the bank's weights once for both the prediction and the update; it equals
+    predict(x) followed by update(x, loss_fn) bit for bit.
     """
 
     def __init__(self, tree: TemplateTree, params: PotentialParams | None = None):
         self.tree = tree
         self.registry = SleepingRegistry(params=params)
-        self._paths: dict[str, tuple[list[Edge], np.ndarray]] = {}  # leaf -> (edges, child predictions)
-        self._rows: dict[str, np.ndarray] = {}  # leaf -> bank rows of its edges, once registered
+        self._paths: dict[str, list] = {}  # leaf -> [edges, child predictions, bank rows once registered]
 
     @property
     def edges_seen(self) -> int:
         """Distinct traversed edges so far (the live expert count)."""
         return self.registry.seen_count
 
-    def _path(self, x) -> tuple[str, list[Edge], np.ndarray]:
-        """The leaf x reaches, with the edges and child predictions of its path."""
+    def _path(self, x) -> list:
+        """The memo of the leaf x reaches: [edges, child predictions, rows]."""
         nid = self.tree.root
         while not self.tree.nodes[nid].is_leaf:
             nid = self.tree.route_child(nid, x)
         path = self._paths.get(nid)
         if path is None:
             edges = self.tree.traverse(x)
-            path = self._paths[nid] = (edges, np.array([self.tree.nodes[child].prediction for _, child in edges]))
-        return (nid, *path)
+            path = self._paths[nid] = [edges, np.array([self.tree.nodes[child].prediction for _, child in edges]), None]
+        return path
 
-    def _leaf_rows(self, leaf: str, edges: list[Edge]) -> np.ndarray:
-        rows = self._rows.get(leaf)
-        if rows is None:
-            rows = self._rows[leaf] = self.registry._register(edges)
-        return rows
+    def _rows(self, path: list) -> np.ndarray:
+        """The bank rows of a memo's edges, registering them on first use."""
+        if path[2] is None:
+            path[2] = self.registry._register(path[0])
+        return path[2]
 
     def predict(self, x) -> float:
         """Convex combination of child predictions along the traversed path."""
-        leaf, edges, preds = self._path(x)
-        p = self.registry._bank.predict(self._leaf_rows(leaf, edges))
-        return float(sum(w * pred for w, pred in zip(p.tolist(), preds)))
+        path = self._path(x)
+        p = self.registry._bank.predict(self._rows(path))
+        return float(sum(w * pred for w, pred in zip(p.tolist(), path[1])))
 
     def update(self, x, loss_fn: LossFn) -> float:
         """Charge each awake edge loss_fn(its prediction); return the mixture loss.
@@ -278,9 +280,20 @@ class TreeLearner:
         loss_fn is convex.  Losses outside [0, 1] raise before any edge is
         registered.
         """
-        leaf, edges, preds = self._path(x)
-        losses = check_losses([float(loss_fn(pred)) for pred in preds])
-        return self.registry._bank.update(losses, self._leaf_rows(leaf, edges))
+        return self.play_round(x, loss_fn)[1]
+
+    def play_round(self, x, loss_fn: LossFn) -> tuple[float, float]:
+        """predict(x) then update(x, loss_fn) in one pass, bit for bit: x is
+        routed once and the bank's weights, computed once, give both the
+        prediction and the player loss.  Returns (prediction, player loss);
+        losses outside [0, 1] raise before any edge is registered."""
+        path = self._path(x)
+        losses = check_losses([float(loss_fn(pred)) for pred in path[1]])
+        rows = self._rows(path)
+        bank = self.registry._bank
+        p = bank.predict(rows)
+        y = float(sum(w * pred for w, pred in zip(p.tolist(), path[1])))
+        return y, bank.update(losses, rows, p=p)
 
     def terminal_edges(self, pruning: PruningTree) -> list[Edge]:
         """Edges into the effective leaves of a pruning of the template."""

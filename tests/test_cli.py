@@ -12,9 +12,12 @@ import hedgelab
 from hedgelab import cli
 from hedgelab.cli import EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_OK, EXIT_TASK_FAILED, main
 from hedgelab.lab import TRACE_COLUMNS, rng_for
+from hedgelab.sleeping import SleepingRegistry
 from hedgelab.tree import (
     PruningTree,
     generate_tree_data,
+    load_tree,
+    load_tree_data,
     random_template_tree,
     save_tree,
     save_tree_data,
@@ -132,6 +135,31 @@ class TestArgHandling:
     def test_malformed_config_value(self, tmp_path, capsys, overrides):
         assert self._run_with_config(tmp_path, json.dumps(overrides)) == EXIT_BAD_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,overrides",
+        [
+            ("n", {"n": 2.7}), ("n", {"n": False}), ("t", {"t": True}), ("t", {"t": 5.5}), ("k", {"k": 1.5}),
+            ("seeds", {"seeds": True}), ("seed", {"seed": [0.5]}), ("seed", {"seed": [True]}),
+        ],
+    )
+    def test_non_integral_or_boolean_integer_value(self, tmp_path, capsys, key, overrides):
+        assert self._run_with_config(tmp_path, json.dumps(overrides)) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {key} must be integer" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_worker_count_is_bad_config(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        args = ["run", "--scenario", "adversarial", "--n", "2", "--t", "5", "--out", str(out)]
+        code = run_cli(args, env_threads=value)
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ANH_THREADS")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         assert self._run_with_config(tmp_path, json.dumps({"alhpa": 0.3})) == EXIT_BAD_CONFIG
@@ -265,6 +293,28 @@ class TestRunOutputs:
         assert res["best_pruning_leaves"] >= 1
         assert res["tree_regret"] >= -1e-9
         assert res["edges_seen"] <= 150 * 2
+
+    def test_tree_trace_matches_mapping_api_replay(self, tmp_path, tree_fixture):
+        tree_path, data_path = tree_fixture
+        out = tmp_path / "out"
+        code = run_cli(
+            ["run", "--scenario", "tree", "--algo", "ada", "--tree", str(tree_path), "--data", str(data_path),
+             "--loss", "absolute", "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        lines = (out / "trace_ada_seed0.csv").read_text().splitlines()
+        assert lines[0].split(",") == TRACE_COLUMNS
+        tree, reg, cum = load_tree(tree_path), SleepingRegistry(), 0.0
+        data = load_tree_data(data_path)
+        assert len(lines) == len(data) + 1
+        for t, ((x, z), line) in enumerate(zip(data, lines[1:]), start=1):
+            path = tree.traverse(x)
+            player_loss = reg.update({e: (1.0, abs(tree.nodes[e[1]].prediction - z)) for e in path})
+            cum += player_loss
+            best = reg.best_id()
+            row = [player_loss, cum, reg.state(best).R, "", reg.potential_sum(), reg.certificate(),
+                   reg.regret_bound({best: 1.0})]
+            assert line.split(",") == [str(t), "ada", *(v if v == "" else repr(v) for v in row)]
 
     def test_deterministic_outputs(self, tmp_path):
         args = [

@@ -310,6 +310,40 @@ class TestLeafMemoEquivalence:
             assert messages[0] == messages[1] == "input has no feature 1 required by node 'a'"
 
 
+class TestPlayRoundEquivalence:
+    """play_round(x, loss_fn) equals the mapping-API learner's predict(x) then
+    update(x, loss_fn) bit for bit, and leaves the same registry behind."""
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5, 6])
+    def test_random_trees(self, depth):
+        rng = rng_for(200 + depth, 2)
+        n_features = 3
+        tree = random_template_tree(depth, n_features, rng)
+        learner, ref = TreeLearner(tree), MappingTreeLearner(tree)
+        for _ in range(300):
+            x = rng.uniform(0, 1, n_features)
+            loss_fn = (squared_loss if rng.random() < 0.5 else absolute_loss)(float(rng.uniform(0, 1)))
+            assert learner.play_round(x, loss_fn) == (ref.predict(x), ref.update(x, loss_fn))
+            assert_same_registry(learner.registry, ref.registry)
+
+    def test_mixes_with_predict_and_update(self, depth2_tree):
+        learner, ref = TreeLearner(depth2_tree), MappingTreeLearner(depth2_tree)
+        for k, (x, z) in enumerate([([0.9, 0.0], 0.3), ([0.1, 0.9], 0.8), ([0.1, 0.1], 0.0), ([0.1, 0.9], 1.0)] * 3):
+            if k % 3 == 0:
+                assert learner.play_round(x, squared_loss(z)) == (ref.predict(x), ref.update(x, squared_loss(z)))
+            else:
+                assert learner.predict(x) == ref.predict(x)
+                assert learner.update(x, squared_loss(z)) == ref.update(x, squared_loss(z))
+        assert_same_registry(learner.registry, ref.registry)
+
+    def test_bad_loss_registers_nothing(self, depth2_tree):
+        learner = TreeLearner(depth2_tree)
+        learner.play_round([0.9, 0.0], squared_loss(0.5))
+        with pytest.raises(ValueError, match=r"losses must lie in \[0, 1\]"):
+            learner.play_round([0.1, 0.1], lambda y: y - 1.5)
+        assert learner.registry.ids() == [("root", "b")]
+
+
 class TestBestPruning:
     def test_recovers_generating_pruning(self):
         rng = rng_for(4, 2)
