@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the `hedgelab run` outputs of two source trees byte for byte.
 
-    python3 scripts/diff_outputs.py BASE_SRC NEW_SRC [--keep DIR]
+    python3 scripts/diff_outputs.py BASE_SRC NEW_SRC
 
 BASE_SRC and NEW_SRC are `src/` directories (for example of a checkout of
 the parent commit and of the working tree).  Each config of a fixed matrix
@@ -87,12 +87,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("base_src", type=Path)
     parser.add_argument("new_src", type=Path)
-    parser.add_argument("--keep", type=Path, default=None, help="write outputs here instead of a temporary directory")
     args = parser.parse_args()
     base_src, new_src = args.base_src.resolve(), args.new_src.resolve()
 
     with tempfile.TemporaryDirectory() as tmp:
-        work = args.keep.resolve() if args.keep else Path(tmp)
+        work = Path(tmp)
         fixtures = work / "fixtures"
         for name, fixture_args in FIXTURES.items():
             cmd = [sys.executable, str(SCRIPTS / "make_tree_fixture.py"), *fixture_args, "--out", str(fixtures / name)]

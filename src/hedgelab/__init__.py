@@ -6,8 +6,6 @@ interval-adaptive learner built from birth-scheduled copies, a tree-pruning
 forecaster over edge experts, and an experiment harness with exact oracles.
 """
 
-from types import ModuleType as _ModuleType
-
 from .fixed import FixedLearner, relative_entropy
 from .interval import TvLearner, adaptive_regret, check_all_interval_bounds, interval_bound
 from .lab import (
@@ -47,7 +45,49 @@ from .tree import (
     squared_loss,
 )
 
-# The public names are the ones imported above, listed once.
-__all__ = [name for name, obj in globals().items() if not name.startswith("_") and not isinstance(obj, _ModuleType)]
+__all__ = [
+    "FixedLearner",
+    "relative_entropy",
+    "TvLearner",
+    "adaptive_regret",
+    "check_all_interval_bounds",
+    "interval_bound",
+    "HedgeLearner",
+    "LossTrace",
+    "RunRecord",
+    "decomposition_bruteforce",
+    "decomposition_value",
+    "first_order_bound",
+    "gen_adversarial",
+    "gen_shifting",
+    "gen_stochastic_gap",
+    "kshift_bruteforce",
+    "kshift_oracle",
+    "play",
+    "quantile_competitor",
+    "rng_for",
+    "timevarying_regret",
+    "truncated_loss_totals",
+    "tv_bound",
+    "variation",
+    "ExpertState",
+    "PotentialParams",
+    "phi",
+    "weight",
+    "ConfidenceRound",
+    "SleepingRegistry",
+    "PruningTree",
+    "TemplateTree",
+    "TreeLearner",
+    "TreeNode",
+    "absolute_loss",
+    "best_pruning",
+    "best_pruning_bruteforce",
+    "generate_tree_data",
+    "pruning_leaves",
+    "pruning_predict",
+    "random_template_tree",
+    "squared_loss",
+]
 
 __version__ = "0.1.0"

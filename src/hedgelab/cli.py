@@ -305,8 +305,16 @@ def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
         summary["kshift_boundaries"] = oracle.boundaries
         summary["kshift_experts"] = oracle.experts
         if algo == "tv":
-            segments = zip(oracle.boundaries[:-1], oracle.boundaries[1:], oracle.experts)
-            cert_sum = sum(interval_bound(rec.player_losses, trace.losses, b + 1, e, i) for b, e, i in segments)
+            cert_sum = sum(
+                interval_bound(
+                    rec.player_losses,
+                    trace.losses,
+                    oracle.boundaries[j] + 1,
+                    oracle.boundaries[j + 1],
+                    oracle.experts[j],
+                )
+                for j in range(cfg["k"])
+            )
             summary["kshift_certificate_sum"] = float(cert_sum)
     summary["certificate_violations"] = int(violations)
     return summary

@@ -388,8 +388,9 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
     losses is a (T, N) matrix; when adversary is given it must be a callable
     (t, p) -> loss vector and losses is interpreted as the horizon via its
     first dimension (the produced losses are recorded and returned).  With
-    certificates=True the per-round potential sum and its cap are recorded
-    from one certify() call (learners without that method yield None entries).
+    certificates=True the per-round potential sum and its cap are recorded,
+    from one certify() call or else from potential_sum() and certificate()
+    (learners with neither yield None entries).
     """
     if adversary is None:
         losses = np.asarray(losses, dtype=float)
@@ -398,7 +399,10 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
     else:
         t_len = int(losses)
         realized = None
-    record = certificates and hasattr(learner, "certify")
+    certify = getattr(learner, "certify", None)
+    if certify is None and hasattr(learner, "potential_sum") and hasattr(learner, "certificate"):
+        certify = lambda: (learner.potential_sum(), learner.certificate())  # noqa: E731
+    record = certificates and certify is not None
     player = np.empty(t_len)
     pots = np.empty(t_len) if record else None
     certs = np.empty(t_len) if record else None
@@ -412,7 +416,7 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
             rows.append(lvec)
         player[t] = learner.update(lvec)
         if record:
-            pots[t], certs[t] = learner.certify()
+            pots[t], certs[t] = certify()
     if adversary is not None:
         realized = np.vstack(rows)
     return RunRecord(player, realized, pots, certs)

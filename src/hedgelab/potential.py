@@ -156,11 +156,10 @@ def check_losses(losses, n: int | None = None) -> np.ndarray:
     return losses
 
 
-def potential_cap(q: np.ndarray, C: np.ndarray, q_total=None) -> float:
+def potential_cap(q: np.ndarray, C: np.ndarray) -> float:
     """Cap B = 1 + (3/2) sum_i q_i (1 + ln(1 + C_i)) / sum_i q_i on the
-    q-weighted potential sum of experts with priors q and accumulators C;
-    q_total, when given, is q.sum() already computed."""
-    return 1.0 + 1.5 * float(np.dot(q, 1.0 + np.log1p(C)) / (q.sum() if q_total is None else q_total))
+    q-weighted potential sum of experts with priors q and accumulators C."""
+    return 1.0 + 1.5 * float(np.dot(q, 1.0 + np.log1p(C)) / q.sum())
 
 
 def bound_coefficient(ln_inv_q, cap, n=None):
@@ -246,28 +245,26 @@ class ExpertBank:
         return player_loss
 
     def certify(self, rows=slice(None)) -> tuple[float, float]:
-        """(potential_sum(rows), certificate(rows)) from one prior total."""
-        q_total = self.q[rows].sum()
-        return self.potential_sum(rows, q_total), self.certificate(rows, q_total)
+        """The round's certificate record: (potential_sum(rows), certificate(rows))."""
+        return self.potential_sum(rows), self.certificate(rows)
 
-    def potential_sum(self, rows=slice(None), q_total=None) -> float:
-        """Potential sum over the rows, with the prior normalized over them;
-        q_total is their prior total, when already computed."""
+    def potential_sum(self, rows=slice(None)) -> float:
+        """Potential sum over the rows, with the prior normalized over them."""
         q = self.q[rows]
         if q.size == 0:
             return 1.0
         # phi is exactly 1 for R <= 0
         phi = _evaluate_where(_phi, self.R[rows], self.C[rows], 0.0, 1.0)
-        return float(np.dot(q, phi) / (q.sum() if q_total is None else q_total))
+        return float(np.dot(q, phi) / q.sum())
 
-    def certificate(self, rows=slice(None), q_total=None) -> float:
+    def certificate(self, rows=slice(None)) -> float:
         """The cap the potential sum over the rows stays under (d = 1 only)."""
         if self.params.d != 1.0:
             raise ValueError("potential certificate is only supported for d = 1")
         q = self.q[rows]
         if q.size == 0:
             return 2.5
-        return potential_cap(q, self.C[rows], q_total)
+        return potential_cap(q, self.C[rows])
 
 
 # ---------------------------------------------------------------------------

@@ -198,18 +198,24 @@ def pruning_predict(tree: TemplateTree, pruning: PruningTree, x) -> float:
         nid = tree.route_child(nid, x)
 
 
+def _effective_leaves(tree: TemplateTree, pruning: PruningTree) -> list[str]:
+    """Ids of the effective pruned tree's leaves, left to right."""
+    leaves = []
+
+    def go(nid: str) -> None:
+        if (nid != tree.root and nid in pruning.pruned_at) or tree.nodes[nid].is_leaf:
+            leaves.append(nid)
+            return
+        for child in tree.nodes[nid].children:
+            go(child)
+
+    go(tree.root)
+    return leaves
+
+
 def pruning_leaves(tree: TemplateTree, pruning: PruningTree) -> int:
     """Number of leaves of the effective pruned tree."""
-
-    def go(nid: str) -> int:
-        if nid != tree.root and nid in pruning.pruned_at:
-            return 1
-        node = tree.nodes[nid]
-        if node.is_leaf:
-            return 1
-        return sum(go(c) for c in node.children)
-
-    return go(tree.root)
+    return len(_effective_leaves(tree, pruning))
 
 
 def squared_loss(target: float) -> LossFn:
@@ -267,11 +273,15 @@ class TreeLearner:
             path[2] = self.registry._register(path[0])
         return path[2]
 
+    def _weigh(self, path: list) -> tuple[np.ndarray, np.ndarray, float]:
+        """A memo's bank rows, their weights and the mixture prediction."""
+        rows = self._rows(path)
+        p = self.registry._bank.predict(rows)
+        return rows, p, float(sum(w * pred for w, pred in zip(p.tolist(), path[1])))
+
     def predict(self, x) -> float:
         """Convex combination of child predictions along the traversed path."""
-        path = self._path(x)
-        p = self.registry._bank.predict(self._rows(path))
-        return float(sum(w * pred for w, pred in zip(p.tolist(), path[1])))
+        return self._weigh(self._path(x))[2]
 
     def update(self, x, loss_fn: LossFn) -> float:
         """Charge each awake edge loss_fn(its prediction); return the mixture loss.
@@ -289,28 +299,12 @@ class TreeLearner:
         losses outside [0, 1] raise before any edge is registered."""
         path = self._path(x)
         losses = check_losses([float(loss_fn(pred)) for pred in path[1]])
-        rows = self._rows(path)
-        bank = self.registry._bank
-        p = bank.predict(rows)
-        y = float(sum(w * pred for w, pred in zip(p.tolist(), path[1])))
-        return y, bank.update(losses, rows, p=p)
+        rows, p, y = self._weigh(path)
+        return y, self.registry._bank.update(losses, rows, p=p)
 
     def terminal_edges(self, pruning: PruningTree) -> list[Edge]:
         """Edges into the effective leaves of a pruning of the template."""
-        edges = []
-
-        def go(nid: str) -> None:
-            effective_leaf = (nid != self.tree.root and nid in pruning.pruned_at) or self.tree.nodes[
-                nid
-            ].is_leaf
-            if effective_leaf:
-                edges.append((self.tree.parent[nid], nid))
-                return
-            for child in self.tree.nodes[nid].children:
-                go(child)
-
-        go(self.tree.root)
-        return edges
+        return [(self.tree.parent[nid], nid) for nid in _effective_leaves(self.tree, pruning)]
 
     def pruning_certificate(self, pruning: PruningTree) -> float:
         """m * (regret bound for u uniform over the pruning's terminal edges).

@@ -6,7 +6,7 @@ import pytest
 
 from hedgelab.fixed import FixedLearner
 from hedgelab.interval import TvLearner
-from hedgelab.lab import gen_adversarial, play, rng_for
+from hedgelab.lab import HedgeLearner, gen_adversarial, play, rng_for
 from hedgelab.potential import PotentialParams
 from hedgelab.sleeping import SleepingRegistry
 
@@ -61,6 +61,20 @@ class TestCertify:
         for t, losses in enumerate(trace.losses):
             replay.update(losses)
             assert (rec.potential_sums[t], rec.certificates[t]) == (replay.potential_sum(), replay.certificate())
+
+    def test_play_without_certify_uses_the_one_value_calls(self):
+        class TwoCalls:  # potential_sum() and certificate(), but no certify()
+            def __init__(self):
+                inner = FixedLearner(np.full(4, 0.25))
+                self.update, self.potential_sum, self.certificate = inner.update, inner.potential_sum, inner.certificate
+
+        trace = gen_adversarial(4, 80, 9)
+        rec = play(TwoCalls(), trace.losses, certificates=True)
+        ref = play(FixedLearner(np.full(4, 0.25)), trace.losses, certificates=True)
+        assert rec.potential_sums.tolist() == ref.potential_sums.tolist()
+        assert rec.certificates.tolist() == ref.certificates.tolist()
+        hedge = play(HedgeLearner(4), trace.losses, certificates=True)  # neither: no columns
+        assert hedge.potential_sums is None and hedge.certificates is None
 
 
 def expected_record(reg):
