@@ -14,9 +14,9 @@ process per CPU).
 
 Exit codes: 0 ok; 1 a selfcheck row failed, or a run task raised (each
 failed task is named on stderr and listed under "failed_tasks" in
-summary.json, which is still written); 2 invalid config; 3 a runtime
-certificate was violated (CERTIFICATE_VIOLATION on stderr).  A run with
-both failed tasks and a violation exits 1.
+summary.json, which is still written); 2 invalid config, --tree/--data
+content included; 3 a runtime certificate was violated (CERTIFICATE_VIOLATION
+on stderr).  A run with both failed tasks and a violation exits 1.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_TASK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_CERTIFICATE_VIOLATION = 3
+
+RECORD_BLOCK = 64  # tree rounds certified in one pass; no record feeds back into the learner
 
 
 class ConfigError(ValueError):
@@ -168,7 +170,7 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError("the tree scenario supports only --algo ada")
         if not cfg["tree"] or not cfg["data"]:
             raise ConfigError("the tree scenario requires --tree and --data paths")
-        for key in ("tree", "data"):  # existence only: the task parses them
+        for key in ("tree", "data"):  # existence only: run() parses them
             if not Path(cfg[key]).is_file():
                 raise ConfigError(f"{key} file {cfg[key]!r} does not exist")
         if cfg["loss"] not in ("squared", "absolute"):
@@ -236,13 +238,14 @@ def _fmt_column(values) -> list[str]:
 
 def _write_trace(path: Path, algo: str, columns) -> None:
     """Trace CSV of one task: the round, the algorithm, then one column of
-    values per remaining TRACE_COLUMNS entry (None for an empty column)."""
+    values per remaining TRACE_COLUMNS entry (None for an empty column).
+    No cell holds a comma, quote or newline, so none needs CSV quoting."""
     n = len(columns[0])
     cells = [[""] * n if values is None else _fmt_column(values) for values in columns]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(zip(range(1, n + 1), [algo] * n, *cells))
+    rows = map(",".join, zip(map(str, range(1, n + 1)), [algo] * n, *cells))
+    with open(path, "w", newline="") as fh:  # row by row, as a whole-file string would raise peak memory
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        fh.writelines(row + "\n" for row in rows)
 
 
 def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
@@ -321,22 +324,27 @@ def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
 
 
 def _tree_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
-    tree = load_tree(cfg["tree"])
-    data = load_tree_data(cfg["data"])
+    tree, data = cfg["tree"], cfg["data"]  # parsed by run()
     loss_factory = squared_loss if cfg["loss"] == "squared" else absolute_loss
     learner = TreeLearner(tree)
-    rounds = []  # (player loss, cumulative loss, best edge's R, potential sum, cap, bound) per round
-    cum = 0.0
-    realized_total = 0.0
-    for x, z in data:
+    registry, bank = learner.registry, learner.registry._bank
+    R, C = np.zeros((2, RECORD_BLOCK, len(tree.parent)))  # row k: the bank after round k of a block
+    sizes = np.zeros(RECORD_BLOCK, dtype=int)
+    losses, records, realized_total = [], [], 0.0
+    for t, (x, z) in enumerate(data):
         loss_fn = loss_factory(z)
         y, player_loss = learner.play_round(x, loss_fn)
         realized_total += float(loss_fn(y))
-        cum += player_loss
-        rounds.append((player_loss, cum, *learner.registry.round_record()))
-    loss, cum_loss, best_r, pots, certs, bounds = zip(*rounds)
-    violations = sum(pot > cert * (1.0 + 1e-9) for pot, cert in zip(pots, certs))
-    columns = [loss, cum_loss, best_r, None, pots, certs, bounds]
+        losses.append(player_loss)
+        k = t % RECORD_BLOCK
+        n = sizes[k] = bank.q.size
+        R[k, :n], C[k, :n] = bank.R, bank.C
+        if k == RECORD_BLOCK - 1 or t == len(data) - 1:
+            records.append(registry.round_records(R[: k + 1], C[: k + 1], sizes[: k + 1]))
+    best_r, pots, certs, bounds = map(np.concatenate, zip(*records))
+    cum_loss = np.cumsum(losses)
+    violations = int(np.count_nonzero(pots > certs * (1.0 + 1e-9)))
+    columns = [losses, cum_loss, best_r, None, pots, certs, bounds]
     _write_trace(Path(out_dir) / f"trace_{algo}_seed{seed}.csv", algo, columns)
 
     oracle_data = [(x, loss_factory(z)) for x, z in data]
@@ -348,7 +356,7 @@ def _tree_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
     return {
         "algo": algo,
         "seed": seed,
-        "final_player_loss": float(cum),
+        "final_player_loss": float(cum_loss[-1]),
         "realized_loss_total": float(realized_total),
         "best_pruning_loss": float(best_loss),
         "best_pruning_leaves": int(leaves),
@@ -358,6 +366,21 @@ def _tree_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
         "edges_seen": learner.edges_seen,
         "certificate_violations": int(violations),
     }
+
+
+def _parse_tree_files(cfg: dict) -> dict:
+    """cfg with the tree and data paths replaced by the parsed files; content that
+    does not parse, or rows without a feature the tree splits on, is a config error."""
+    parsed = dict(cfg)
+    for key, load in (("tree", load_tree), ("data", load_tree_data)):
+        try:
+            parsed[key] = load(cfg[key])
+        except (OSError, ValueError, TypeError, KeyError, csv.Error) as exc:
+            raise ConfigError(f"{key} file {cfg[key]!r} does not parse: {type(exc).__name__}: {exc}") from None
+    need = max(parsed["tree"].nodes[nid].feature for nid in parsed["tree"].internal_ids)
+    if any(len(x) <= need for x, _ in parsed["data"]):
+        raise ConfigError(f"data file {cfg['data']!r} has no feature f{need}, which the tree splits on")
+    return parsed
 
 
 def _run_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
@@ -383,6 +406,7 @@ def _worker_count(n_tasks: int) -> int:
 def run(cfg: dict) -> int:
     tasks = [(algo, seed) for algo in cfg["algos"] for seed in cfg["seeds"]]
     workers = _worker_count(len(tasks))  # a bad ANH_THREADS raises before the output directory exists
+    task_cfg = _parse_tree_files(cfg) if cfg["scenario"] == "tree" else cfg
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     results, failed = [], []
@@ -396,10 +420,10 @@ def run(cfg: dict) -> int:
 
     if workers == 1:
         for algo, seed in tasks:
-            collect(algo, seed, lambda: _run_task(cfg, algo, seed, str(out_dir)))
+            collect(algo, seed, lambda: _run_task(task_cfg, algo, seed, str(out_dir)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_task, cfg, algo, seed, str(out_dir)) for algo, seed in tasks]
+            futures = [pool.submit(_run_task, task_cfg, algo, seed, str(out_dir)) for algo, seed in tasks]
             for (algo, seed), future in zip(tasks, futures):
                 collect(algo, seed, future.result)
     results.sort(key=lambda r: (r["algo"], r["seed"]))

@@ -11,7 +11,8 @@ space only overflows past C ~ 2000, far beyond harness scales.
 
 ExpertBank holds the (prior, R, C) rows that the fixed, sleeping and interval
 learners predict, update and certify through; potential_cap, bound_coefficient
-and check_losses are the cap, the bound and the loss check they all share.
+and check_losses are the cap, the bound and the loss check they all share;
+certify_stack certifies saved states, ExpertBank.certify the live one.
 """
 
 from __future__ import annotations
@@ -159,7 +160,12 @@ def check_losses(losses, n: int | None = None) -> np.ndarray:
 def potential_cap(q: np.ndarray, C: np.ndarray) -> float:
     """Cap B = 1 + (3/2) sum_i q_i (1 + ln(1 + C_i)) / sum_i q_i on the
     q-weighted potential sum of experts with priors q and accumulators C."""
-    return 1.0 + 1.5 * float(np.dot(q, 1.0 + np.log1p(C)) / q.sum())
+    return _cap(q, 1.0 + np.log1p(C), q.sum())
+
+
+def _cap(q: np.ndarray, log_c: np.ndarray, q_sum) -> float:
+    """potential_cap from log_c = 1 + ln(1 + C) and q_sum = q.sum()."""
+    return 1.0 + 1.5 * float(np.dot(q, log_c) / q_sum)
 
 
 def bound_coefficient(ln_inv_q, cap, n=None):
@@ -191,10 +197,28 @@ def _evaluate_where(fn, R, C, edge: float, constant: float) -> np.ndarray:
     if R.size >= _GATHER_MIN_SIZE:
         idx = np.flatnonzero(R > edge)
         if 4 * idx.size <= R.size:
-            out = np.full(R.shape, constant)
-            out[idx] = fn(R[idx], C[idx])
-            return out
+            out = np.full(R.size, constant)
+            out[idx] = fn(R.ravel()[idx], C.ravel()[idx])
+            return out.reshape(R.shape)
     return fn(R, C)
+
+
+def certify_stack(q: np.ndarray, R: np.ndarray, C: np.ndarray, sizes) -> np.ndarray:
+    """The potential sums, caps and prior sums q[:n].sum() of a stack of states,
+    as the rows of a (3, len(sizes)) array: row k of R and C is a state of the
+    first n = sizes[k] bank rows (later entries must be reachable, as zeros are).
+    Each equals certify() in its state bit for bit by its own np.dot; one gemv
+    over the stack rounds differently."""
+    phi = _evaluate_where(_phi, R, C, 0.0, 1.0)  # phi is exactly 1 for R <= 0
+    log_c = 1.0 + np.log1p(C)
+    out = np.empty((3, len(sizes)))
+    q_sum, last = 0.0, 0
+    for k, n in enumerate(sizes):
+        if n != last:  # a bank only grows, so along a run q is summed once per size
+            q_sum, last = q[:n].sum(), n
+        pot, cap = (np.dot(q[:n], phi[k, :n]) / q_sum, _cap(q[:n], log_c[k, :n], q_sum)) if n else (1.0, 2.5)
+        out[:, k] = pot, cap, q_sum
+    return out
 
 
 class ExpertBank:
@@ -246,25 +270,22 @@ class ExpertBank:
 
     def certify(self, rows=slice(None)) -> tuple[float, float]:
         """The round's certificate record: (potential_sum(rows), certificate(rows))."""
-        return self.potential_sum(rows), self.certificate(rows)
+        if self.params.d != 1.0:
+            raise ValueError("potential certificate is only supported for d = 1")
+        return self._certify(rows)
+
+    def _certify(self, rows) -> tuple[float, float]:
+        q = self.q[rows]
+        pots, caps, _ = certify_stack(q, self.R[rows][None], self.C[rows][None], (q.size,))
+        return float(pots[0]), float(caps[0])
 
     def potential_sum(self, rows=slice(None)) -> float:
         """Potential sum over the rows, with the prior normalized over them."""
-        q = self.q[rows]
-        if q.size == 0:
-            return 1.0
-        # phi is exactly 1 for R <= 0
-        phi = _evaluate_where(_phi, self.R[rows], self.C[rows], 0.0, 1.0)
-        return float(np.dot(q, phi) / q.sum())
+        return self._certify(rows)[0]
 
     def certificate(self, rows=slice(None)) -> float:
         """The cap the potential sum over the rows stays under (d = 1 only)."""
-        if self.params.d != 1.0:
-            raise ValueError("potential certificate is only supported for d = 1")
-        q = self.q[rows]
-        if q.size == 0:
-            return 2.5
-        return potential_cap(q, self.C[rows])
+        return self.certify(rows)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ tree.TreeLearner registers each root-to-leaf path once through the same
 registration step, in path order, keeps its rows per leaf and calls the bank
 with them directly: an edge is never registered before its ancestors, so rows
 ascend along every path, the order the mapping API would sort them into.
+round_records computes round_record() later, in one pass over saved states.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .fixed import competitor_bound
-from .potential import ExpertBank, ExpertState, PotentialParams, check_losses
+from .potential import ExpertBank, ExpertState, PotentialParams, bound_coefficient, certify_stack, check_losses
 
 __all__ = ["ExpertId", "ConfidenceRound", "SleepingRegistry"]
 
@@ -156,14 +157,25 @@ class SleepingRegistry:
         return self._bank.certify()
 
     def round_record(self) -> tuple[float, float, float, float]:
-        """One round's certificate record from one certify() pass: the R of
-        best_id(), the potential sum, its cap and regret_bound({best_id(): 1.0})."""
+        """One round's certificate record: the R of best_id(), the potential sum,
+        its cap and regret_bound({best_id(): 1.0}); round_records' one-row case."""
         bank = self._bank
-        best = int(np.argmax(bank.R))  # the first registered among ties, as best_id()
-        pot, cap = bank.certify()
-        # for a point mass, u . C is C[best] exactly
-        bound = competitor_bound(np.ones(1), bank.q[[best]] / bank.q.sum(), float(bank.C[best]), cap, self.seen_count)
-        return float(bank.R[best]), pot, cap, bound
+        return tuple(float(col[0]) for col in self.round_records(bank.R[None], bank.C[None], np.array([bank.q.size])))
+
+    def round_records(self, R: np.ndarray, C: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
+        """round_record() of past states, bit for bit, as four arrays: row k of
+        R and C holds the bank's R and C in its first sizes[k] > 0 entries, the
+        ids registered by then (d = 1 only)."""
+        if self._bank.params.d != 1.0:
+            raise ValueError("potential certificate is only supported for d = 1")
+        # the first registered among ties, as best_id(); for a point mass u on it,
+        # u . C is C[best] and RE(u||q) is ln(1 / q_best), as in competitor_bound
+        best = np.argmax(np.where(np.arange(R.shape[1]) < sizes[:, None], R, -np.inf), axis=1)
+        pots, caps, q_sums = certify_stack(self._bank.q, R, C, sizes)
+        ln_inv_q = np.log(1.0 / (self._bank.q[best] / q_sums))
+        rounds = np.arange(sizes.size)
+        bounds = np.sqrt(C[rounds, best] * bound_coefficient(ln_inv_q, caps, sizes))
+        return R[rounds, best], pots, caps, bounds
 
     def regret_bound(self, u: Mapping) -> float:
         """Anytime bound on the confidence-weighted regret to competitor u.

@@ -11,7 +11,8 @@ the first child when x[feature] < threshold, else to the second.  Node
 predictions are constants in [0, 1]; the root predicts nothing and is never
 prunable.  JSON serialization: {"root": id, "nodes": [{"id", "feature",
 "threshold", "children", "prediction"}]}.  Data files are CSV with feature
-columns f0..fk and a target column z.
+columns f0..fk and a target column z in [0, 1].  A run (cli) certifies its
+rounds in blocks, from saved registry states, by SleepingRegistry.round_records.
 """
 
 from __future__ import annotations
@@ -482,6 +483,8 @@ def load_tree_data(path) -> list[tuple[np.ndarray, float]]:
         feat_cols = sorted(
             (c for c in reader.fieldnames if c.startswith("f")), key=lambda c: int(c[1:])
         )
+        if feat_cols != [f"f{k}" for k in range(len(feat_cols))]:
+            raise ValueError(f"feature columns must be f0..f{len(feat_cols) - 1}, got {feat_cols}")
         out = []
         for row in reader:
             x = np.array([float(row[c]) for c in feat_cols])

@@ -7,7 +7,7 @@ import pytest
 from hedgelab.fixed import FixedLearner
 from hedgelab.interval import TvLearner
 from hedgelab.lab import HedgeLearner, gen_adversarial, play, rng_for
-from hedgelab.potential import PotentialParams
+from hedgelab.potential import PotentialParams, certify_stack, phi_arr, potential_cap
 from hedgelab.sleeping import SleepingRegistry
 
 
@@ -106,3 +106,56 @@ class TestRoundRecord:
     def test_empty_registry_raises(self):
         with pytest.raises(ValueError):
             SleepingRegistry().round_record()
+
+
+class TestRoundRecords:
+    @staticmethod
+    def states_and_records(rounds=150):
+        """Per-round bank states and round_record() of a registry that keeps
+        registering ids.  Ids 2j and 2j + 1 wake together with one loss, so
+        they tie on R; they have different priors and register in either order."""
+        reg = SleepingRegistry(prior_policy=lambda i: 1.0 + (i % 5))
+        rng = rng_for(11, 7)
+        states, records = [], []
+        for t in range(rounds):
+            pairs = rng.choice(min(20, 3 + t // 6), size=int(rng.integers(1, 4)), replace=False)
+            awake = {}
+            for j in pairs.tolist():
+                loss = float(rng.uniform())
+                awake.update((i, (1.0, loss)) for i in rng.permutation([2 * j, 2 * j + 1]).tolist())
+            reg.update(awake)
+            states.append((reg._bank.R.copy(), reg._bank.C.copy()))
+            records.append(reg.round_record())
+            assert records[-1] == expected_record(reg)
+        return reg, states, np.array(records)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_equal_round_record(self, block):
+        reg, states, expected = self.states_and_records()
+        sizes = np.array([r.size for r, _ in states])
+        assert len(set(sizes[:64].tolist())) > 5  # ids register within blocks
+        ties = sum(int(np.sum(r == r.max())) > 1 for r, _ in states)
+        assert ties > 20  # the best id is often a tie-break
+        width = sizes.max() + 3  # entries past a round's size are ignored
+        got = []
+        for start in range(0, len(states), block):
+            chunk = states[start : start + block]
+            R, C = np.zeros((2, len(chunk), width))
+            for k, (r, c) in enumerate(chunk):
+                R[k, : r.size], C[k, : c.size] = r, c
+            got.append(np.column_stack(reg.round_records(R, C, sizes[start : start + block])))
+        assert np.vstack(got).tobytes() == expected.tobytes()
+
+    def test_stack_rows_equal_the_dense_formulas(self):
+        reg, states, _ = self.states_and_records(40)
+        q = reg._bank.q
+        sizes = np.array([r.size for r, _ in states])
+        R, C = np.zeros((2, len(states), sizes.max()))
+        for k, (r, c) in enumerate(states):
+            R[k, : r.size], C[k, : c.size] = r, c
+        pots, caps, q_sums = certify_stack(q, R, C, sizes)
+        for k, (r, c) in enumerate(states):
+            qk = q[: r.size]
+            assert pots[k] == float(np.dot(qk, phi_arr(r, c)) / qk.sum())
+            assert caps[k] == potential_cap(qk, c)
+            assert q_sums[k] == qk.sum()

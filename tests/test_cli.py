@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -22,6 +23,17 @@ from hedgelab.tree import (
     save_tree,
     save_tree_data,
 )
+
+
+def _raise_for_seed_1(cfg, algo, seed, out_dir):
+    """A stand-in for cli._run_task whose seed-1 task raises; module-level, so
+    that the pool can send it to its workers."""
+    if seed == 1:
+        raise RuntimeError("seed 1")
+    return _RUN_TASK(cfg, algo, seed, out_dir)
+
+
+_RUN_TASK = cli._run_task
 
 
 def run_cli(args, env_threads="1"):
@@ -181,16 +193,45 @@ class TestTreeFiles:
         assert f"error: {missing} file" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_malformed_tree_file_fails_task(self, tmp_path, capsys, tree_fixture):
-        tree_path = tmp_path / "bad.json"
-        tree_path.write_text("{not json")
+    SPLIT_ON_F3 = {
+        "root": "r",
+        "nodes": [
+            {"id": "r", "feature": 3, "threshold": 0.5, "children": ["a", "b"]},
+            {"id": "a", "prediction": 0.25},
+            {"id": "b", "prediction": 0.75},
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "tree_text,data_text,message",
+        [
+            ("{not json", None, "tree file .* does not parse: JSONDecodeError"),
+            ('{"nodes": 3}', None, "tree file .* does not parse: TypeError"),
+            (None, "z\n0.5\n", "data file .* has no feature f"),
+            (json.dumps(SPLIT_ON_F3), "f0,f1,f2,z\n0.1,0.2,0.3,0.5\n", "data file .* has no feature f3,"),
+            (None, "f0,f2,z\n0.1,0.2,0.5\n", "data file .* does not parse: ValueError: feature columns must be f0..f1"),
+            (None, "f0,f1,z\n0.5,0.5,1.5\n", "data file .* does not parse: ValueError: target 1.5 outside"),
+            (None, "f0,f1,z\n0.5," + "5" * 200_000 + ",0.5\n", "data file .* does not parse: Error: field larger"),
+        ],
+        ids=["not-json", "nodes-not-a-list", "no-features", "no-feature-3", "column-gap", "target-1.5", "field-too-large"],
+    )
+    def test_malformed_content_is_bad_config(self, tmp_path, capsys, tree_fixture, tree_text, data_text, message):
+        paths = dict(zip(("tree", "data"), map(str, tree_fixture)))
+        for key, text in (("tree", tree_text), ("data", data_text)):
+            if text is not None:
+                paths[key] = str(tmp_path / f"bad_{key}")
+                Path(paths[key]).write_text(text)
         out = tmp_path / "out"
         code = run_cli(
-            ["run", "--scenario", "tree", "--algo", "ada", "--tree", str(tree_path), "--data", str(tree_fixture[1]),
-             "--out", str(out)]
+            ["run", "--scenario", "tree", "--algo", "ada", "--tree", paths["tree"], "--data", paths["data"],
+             "--seed", "0,1", "--out", str(out)],
+            env_threads="2",
         )
-        assert code == EXIT_TASK_FAILED
-        assert json.loads((out / "summary.json").read_text())["failed_tasks"][0]["error"].startswith("JSONDecodeError")
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert re.match(f"error: {message}", err), err
+        assert not out.exists()
 
 
 class TestTraceCells:
@@ -316,6 +357,17 @@ class TestRunOutputs:
                    reg.regret_bound({best: 1.0})]
             assert line.split(",") == [str(t), "ada", *(v if v == "" else repr(v) for v in row)]
 
+    def test_tree_outputs_do_not_depend_on_the_record_block(self, tmp_path, tree_fixture, monkeypatch):
+        # 150 rounds: two full 64-round blocks and a tail, against blocks of one round
+        tree_path, data_path = tree_fixture
+        args = ["run", "--scenario", "tree", "--algo", "ada", "--tree", str(tree_path), "--data", str(data_path)]
+        assert cli.RECORD_BLOCK == 64
+        assert run_cli(args + ["--out", str(tmp_path / "a")]) == EXIT_OK
+        monkeypatch.setattr(cli, "RECORD_BLOCK", 1)
+        assert run_cli(args + ["--out", str(tmp_path / "b")]) == EXIT_OK
+        for name in ("trace_ada_seed0.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_deterministic_outputs(self, tmp_path):
         args = [
             "run", "--scenario", "stochastic", "--algo", "ada,hedge", "--n", "4", "--t", "200",
@@ -362,11 +414,10 @@ class TestFailedTasks:
         assert "algo hedge seed 1: RuntimeError: boom" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_short_tree_row_fails_task(self, tmp_path, capsys, tree_fixture, threads):
-        # a data row with no features, while the tree's root routes on one
-        tree_path, _ = tree_fixture
-        data_path = tmp_path / "short.csv"
-        data_path.write_text("z\n0.5\n")
+    def test_raising_task_writes_summary(self, tmp_path, capsys, tree_fixture, threads, monkeypatch):
+        # serially or in the pool, where each task gets the parsed tree and data
+        monkeypatch.setattr(cli, "_run_task", _raise_for_seed_1)
+        tree_path, data_path = tree_fixture
         out = tmp_path / "out"
         code = run_cli(
             ["run", "--scenario", "tree", "--algo", "ada", "--tree", str(tree_path), "--data", str(data_path),
@@ -375,11 +426,12 @@ class TestFailedTasks:
         )
         assert code == EXIT_TASK_FAILED
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["results"] == []
-        assert [(f["algo"], f["seed"]) for f in summary["failed_tasks"]] == [("ada", 0), ("ada", 1)]
-        assert all(f["error"].startswith("ValueError: input has no feature") for f in summary["failed_tasks"])
+        assert [(r["algo"], r["seed"]) for r in summary["results"]] == [("ada", 0)]
+        assert summary["failed_tasks"] == [{"algo": "ada", "seed": 1, "error": "RuntimeError: seed 1"}]
+        assert summary["config"]["tree"] == str(tree_path) and summary["config"]["data"] == str(data_path)
+        assert (out / "trace_ada_seed0.csv").is_file()
         err = capsys.readouterr().err
-        assert "algo ada seed 0" in err and "algo ada seed 1" in err
+        assert "algo ada seed 1: RuntimeError: seed 1" in err and "algo ada seed 0" not in err
 
 
 class TestColdStart:
