@@ -7,9 +7,11 @@ BASE_SRC and NEW_SRC are `src/` directories (for example of a checkout of
 the parent commit and of the working tree).  Each config of a fixed matrix
 runs once against each tree, in a fresh interpreter with ANH_THREADS=1 and
 OPENBLAS_NUM_THREADS=1, since output bytes depend on the BLAS thread count.
-The matrix covers the tree scenario with squared and absolute loss, and the
-adversarial, stochastic and shifting scenarios with ada, dt, hedge and tv.
-Tree fixtures are made once, with BASE_SRC, and shared by both trees.
+The matrix covers the tree scenario with squared and absolute loss, the
+adversarial, stochastic and shifting scenarios with ada, dt, hedge and tv, and
+one shifting run whose --config file overrides its flags with the singular
+"algo" and "seed" keys and an integral-float "n".  Tree fixtures and the config
+file are made once, with BASE_SRC, and shared by both trees.
 
 Prints the first differing file and line of every config that differs and
 exits 1, or prints one line per identical config and exits 0.
@@ -18,6 +20,7 @@ exits 1, or prints one line per identical config and exits 0.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -30,16 +33,27 @@ FIXTURES = {  # name -> make_tree_fixture.py arguments
     "tree0": ["--depth", "6", "--features", "4", "--samples", "600", "--prune", "4", "--noise", "0.1", "--seed", "0"],
     "tree5": ["--depth", "4", "--features", "3", "--samples", "400", "--prune", "2", "--noise", "0.1", "--seed", "5"],
 }
+CONFIG_FILE = {  # overrides every flag of the "config-file" run, in spellings valid at earlier commits too
+    "scenario": "shifting", "algo": "ada,tv", "seed": [4, 9], "n": 6.0, "t": 300, "k": 2, "alpha": 0.3, "mu": 0.2,
+}
 
 
-def matrix(fixtures: Path) -> dict[str, list[str]]:
+def write_inputs(work: Path, src: Path) -> None:
+    """The tree fixtures and the --config file that matrix(work) names."""
+    for name, fixture_args in FIXTURES.items():
+        cmd = [sys.executable, str(SCRIPTS / "make_tree_fixture.py"), *fixture_args, "--out", str(work / name)]
+        subprocess.run(cmd, env=_env(src), stdout=subprocess.DEVNULL, check=True)
+    (work / "config.json").write_text(json.dumps(CONFIG_FILE))
+
+
+def matrix(work: Path) -> dict[str, list[str]]:
     """Config name -> `hedgelab run` arguments (without --out)."""
     configs = {}
     for name in FIXTURES:
         for loss in ("squared", "absolute"):
             configs[f"{name}-{loss}"] = [
                 "--scenario", "tree", "--algo", "ada", "--loss", loss,
-                "--tree", str(fixtures / name / "tree.json"), "--data", str(fixtures / name / "data.csv"),
+                "--tree", str(work / name / "tree.json"), "--data", str(work / name / "data.csv"),
             ]
     configs["adversarial"] = ["--scenario", "adversarial", "--algo", ALGOS, "--n", "5", "--t", "400", "--seeds", "2"]
     configs["stochastic"] = [
@@ -49,6 +63,10 @@ def matrix(fixtures: Path) -> dict[str, list[str]]:
     configs["shifting"] = [
         "--scenario", "shifting", "--algo", ALGOS, "--n", "10", "--t", "1500", "--k", "3", "--alpha", "0.25",
         "--mu", "0.3", "--seed", "0,1",
+    ]
+    configs["config-file"] = [
+        "--scenario", "adversarial", "--algo", "hedge", "--n", "3", "--t", "50", "--seeds", "2",
+        "--config", str(work / "config.json"),
     ]
     return configs
 
@@ -92,12 +110,9 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        fixtures = work / "fixtures"
-        for name, fixture_args in FIXTURES.items():
-            cmd = [sys.executable, str(SCRIPTS / "make_tree_fixture.py"), *fixture_args, "--out", str(fixtures / name)]
-            subprocess.run(cmd, env=_env(base_src), stdout=subprocess.DEVNULL, check=True)
+        write_inputs(work / "inputs", base_src)
         differ = 0
-        for name, run_args in matrix(fixtures).items():
+        for name, run_args in matrix(work / "inputs").items():
             outs = [work / side / name for side in ("base", "new")]
             codes = [run_config(src, run_args, out) for src, out in zip((base_src, new_src), outs)]
             if codes[0] != codes[1]:
@@ -109,7 +124,7 @@ def main() -> int:
             else:
                 differ += 1
                 print(f"{name}: DIFFERS\n  {diff}")
-    print(f"{differ} of {len(matrix(fixtures))} configs differ")
+    print(f"{differ} of {len(matrix(work))} configs differ")
     return 1 if differ else 0
 
 

@@ -7,6 +7,10 @@ Two subcommands:
   selfcheck  run the grid checks, oracle equivalences, and certificate
              batteries; print one row per check and exit nonzero on failure.
 
+This module only orchestrates: the flags and --config keys merge into one
+dict that validate_config casts once; ALGORITHMS is the one table of what a run
+knows of an algorithm; learners, bounds and the violation rule live elsewhere.
+
 Runs are deterministic: the same config and seeds produce byte-identical
 outputs at a fixed OpenBLAS thread count.  Seeds x algorithms fan out to a
 process pool capped by the ANH_THREADS environment variable (default: one
@@ -30,16 +34,18 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .checks import selfcheck_results
 from .fixed import FixedLearner
-from .interval import TvLearner, interval_bound, tv_prior
+from .interval import TvLearner, segments_bound, tv_point_mass_terms
 from .lab import (
     TRACE_COLUMNS,
     HedgeLearner,
     LossTrace,
+    count_violations,
     gen_adversarial,
     gen_shifting,
     gen_stochastic_gap,
@@ -50,7 +56,22 @@ from .lab import (
 from .potential import PotentialParams, bound_coefficient
 from .tree import TreeLearner, absolute_loss, best_pruning, load_tree, load_tree_data, squared_loss
 
-ALGOS = ("ada", "dt", "hedge", "tv")
+
+class Algorithm(NamedTuple):
+    """What a run needs to know of one algorithm."""
+
+    learner: Callable  # N -> a fresh learner over N experts
+    prior_terms: Callable | None = None  # the bound column's (N, T) -> (ln 1/q, N registered); None: no cap
+    segments_bound: Callable | None = None  # certificate sum of a K-segment competitor, if any
+    max_t: float = math.inf  # the longest run allowed
+
+
+ALGORITHMS = {
+    "ada": Algorithm(lambda n: FixedLearner(np.full(n, 1.0 / n)), lambda n, t: (math.log(n), n)),
+    "dt": Algorithm(lambda n: FixedLearner(np.full(n, 1.0 / n), PotentialParams(0.0))),
+    "hedge": Algorithm(HedgeLearner),
+    "tv": Algorithm(TvLearner, tv_point_mass_terms, segments_bound, max_t=20000),  # state grows as N*t
+}
 SCENARIOS = ("adversarial", "stochastic", "shifting", "tree")
 
 EXIT_OK = 0
@@ -71,18 +92,20 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-# Keys a --config file may set: those of the config itself, plus the
-# singular spellings "algo" and "seed".
-CONFIG_KEYS = (
-    "scenario", "algos", "algo", "n", "t", "k", "alpha", "mu", "eps", "seeds", "seed", "out", "tree", "data", "loss",
-)
-
-
 def integer(value) -> int:
     """int(value), refusing booleans and fractional numbers, which int() truncates."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(value)
     return int(value)
+
+
+# Keys a --config file may set: those of the config itself, plus the
+# singular spellings "algo" and "seed".  Setting one spelling drops the other.
+CONFIG_KEYS = (
+    "scenario", "algos", "algo", "n", "t", "k", "alpha", "mu", "eps", "seeds", "seed", "out", "tree", "data", "loss",
+)
+SPELLINGS = {"algo": "algos", "algos": "algo", "seed": "seeds", "seeds": "seed"}
+NUMBERS = {"n": integer, "t": integer, "k": integer, "alpha": float, "mu": float}  # key -> its one caster
 
 
 def _cast(key: str, value, cast):
@@ -93,35 +116,15 @@ def _cast(key: str, value, cast):
 
 
 def _parse_list(key: str, value, cast):
-    if value is None:
-        return None
     if not isinstance(value, (list, tuple)):
         value = [v for v in str(value).split(",") if v != ""]
     return [_cast(key, v, cast) for v in value]
 
 
 def build_config(args: argparse.Namespace) -> dict:
-    cfg = {
-        "scenario": args.scenario,
-        "algos": _parse_list("algo", args.algo, str) or ["ada"],
-        "n": args.n,
-        "t": args.t,
-        "k": args.k,
-        "alpha": args.alpha,
-        "mu": args.mu,
-        "eps": _parse_list("eps", args.eps, float) or [0.1],
-        "seeds": None,
-        "out": args.out,
-        "tree": args.tree,
-        "data": args.data,
-        "loss": args.loss,
-    }
-    if args.seed is not None:
-        cfg["seeds"] = _parse_list("seed", args.seed, integer)
-    elif args.seeds is not None:
-        cfg["seeds"] = list(range(int(args.seeds)))
-    else:
-        cfg["seeds"] = [0]
+    """The flags, overridden key by key by the --config file, then validated in one pass."""
+    cfg = {key: getattr(args, key) for key in CONFIG_KEYS if hasattr(args, key)}
+    del cfg["seeds" if args.seed is not None else "seed"]  # --seed beats --seeds
     if args.config is not None:
         try:
             overrides = json.loads(Path(args.config).read_text())
@@ -133,24 +136,29 @@ def build_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}; choose from {CONFIG_KEYS}")
         for key, value in overrides.items():
-            if key == "algos" or key == "algo":
-                cfg["algos"] = _parse_list(key, value, str)
-            elif key == "eps":
-                cfg["eps"] = _parse_list(key, value, float)
-            elif key == "seeds" and isinstance(value, int):
-                cfg["seeds"] = list(range(_cast(key, value, integer)))
-            elif key in ("seeds", "seed"):
-                cfg["seeds"] = _parse_list(key, value, integer)
-            else:
-                cfg[key] = value
+            cfg.pop(SPELLINGS.get(key), None)
+            cfg[key] = value
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: dict) -> None:
+    """Cast every key of a merged config in place, once, then check the values."""
+    key = "algos" if "algos" in cfg else "algo"
+    cfg["algos"] = _parse_list(key, cfg.pop(key), str)
+    key = "seed" if "seed" in cfg else "seeds"
+    value = cfg.pop(key)
+    if key == "seeds" and isinstance(value, (int, float)):  # a count
+        value = list(range(_cast(key, value, integer)))
+    cfg["seeds"] = _parse_list(key, value, integer)
+    cfg["eps"] = _parse_list("eps", cfg["eps"], float)
+    for key, cast in NUMBERS.items():
+        if cfg[key] is not None:
+            cfg[key] = _cast(key, cfg[key], cast)
+
     if cfg["scenario"] not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg['scenario']!r}; choose from {SCENARIOS}")
-    for key in ("algos", "eps"):
+    for key in ("algos", "eps", "seeds"):
         if not cfg[key]:
             raise ConfigError(f"need at least one value for {key}")
     if not isinstance(cfg["out"], str):
@@ -159,12 +167,13 @@ def validate_config(cfg: dict) -> None:
         if cfg[key] is not None and not isinstance(cfg[key], str):
             raise ConfigError(f"{key} must be a path, got {cfg[key]!r}")
     for algo in cfg["algos"]:
-        if algo not in ALGOS:
-            raise ConfigError(f"unknown algorithm {algo!r}; choose from {ALGOS}")
-    if not cfg["seeds"]:
-        raise ConfigError("need at least one seed")
+        if algo not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {algo!r}; choose from {tuple(ALGORITHMS)}")
     if min(cfg["seeds"]) < 0:
         raise ConfigError(f"seeds must be nonnegative, got {cfg['seeds']}")
+    for eps in cfg["eps"]:
+        if not (0.0 < eps <= 1.0):
+            raise ConfigError(f"eps values must be in (0, 1], got {eps}")
     if cfg["scenario"] == "tree":
         if cfg["algos"] != ["ada"]:
             raise ConfigError("the tree scenario supports only --algo ada")
@@ -177,47 +186,23 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"unknown loss {cfg['loss']!r}; choose squared or absolute")
         return
 
-    def read(key: str, cast):
-        return None if cfg[key] is None else _cast(key, cfg[key], cast)
-
-    n, t = read("n", integer), read("t", integer)
-    if n is None or t is None or n <= 0 or t <= 0:
+    if cfg["n"] is None or cfg["t"] is None or cfg["n"] <= 0 or cfg["t"] <= 0:
         raise ConfigError("scenarios need positive --n and --t")
-    cfg["n"], cfg["t"] = n, t
     if cfg["scenario"] in ("stochastic", "shifting"):
-        alpha, mu = read("alpha", float), read("mu", float)
-        if alpha is None or not (0.0 < alpha <= 1.0):
+        if cfg["alpha"] is None or not (0.0 < cfg["alpha"] <= 1.0):
             raise ConfigError("stochastic/shifting scenarios need --alpha in (0, 1]")
-        if mu is None or not (0.0 <= mu <= 1.0 - alpha):
+        if cfg["mu"] is None or not (0.0 <= cfg["mu"] <= 1.0 - cfg["alpha"]):
             raise ConfigError("stochastic/shifting scenarios need --mu in [0, 1 - alpha]")
-        cfg["alpha"], cfg["mu"] = alpha, mu
-    if cfg["scenario"] == "shifting":
-        k = read("k", integer)
-        if k is None or not (1 <= k <= t):
-            raise ConfigError("the shifting scenario needs --k in [1, T]")
-        cfg["k"] = k
-    for eps in cfg["eps"]:
-        if not (0.0 < eps <= 1.0):
-            raise ConfigError(f"eps values must be in (0, 1], got {eps}")
-    if "tv" in cfg["algos"] and cfg["t"] > 20000:
-        raise ConfigError("tv runs are capped at T = 20000 (quadratic state growth)")
+    if cfg["scenario"] == "shifting" and (cfg["k"] is None or not (1 <= cfg["k"] <= cfg["t"])):
+        raise ConfigError("the shifting scenario needs --k in [1, T]")
+    for algo in cfg["algos"]:
+        if cfg["t"] > ALGORITHMS[algo].max_t:
+            raise ConfigError(f"{algo} runs are capped at T = {ALGORITHMS[algo].max_t}")
 
 
 # ---------------------------------------------------------------------------
 # Tasks
 # ---------------------------------------------------------------------------
-
-
-def make_learner(algo: str, n: int):
-    if algo == "ada":
-        return FixedLearner(np.full(n, 1.0 / n))
-    if algo == "dt":
-        return FixedLearner(np.full(n, 1.0 / n), PotentialParams(0.0))
-    if algo == "hedge":
-        return HedgeLearner(n)
-    if algo == "tv":
-        return TvLearner(n)
-    raise ConfigError(f"unknown algorithm {algo!r}")
 
 
 def generate_trace(cfg: dict, seed: int) -> LossTrace:
@@ -250,50 +235,39 @@ def _write_trace(path: Path, algo: str, columns) -> None:
 
 def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
     trace = generate_trace(cfg, seed)
-    learner = make_learner(algo, cfg["n"])
-    want_cert = algo in ("ada", "tv")
-    rec = play(learner, trace.losses, certificates=want_cert)
+    algorithm = ALGORITHMS[algo]
+    certified = algorithm.prior_terms is not None
+    rec = play(algorithm.learner(cfg["n"]), trace.losses, certificates=certified)
     t_len, n = trace.losses.shape
     cum_p = rec.cum_player
     cum_l = np.cumsum(trace.losses, axis=0)
     rounds = np.arange(t_len)
     best_idx = np.argmin(cum_l, axis=1)
     regret_best = cum_p - cum_l[rounds, best_idx]
-    eps = cfg["eps"][0]
-    q_idx = quantile_competitor(cum_l, eps)
-    regret_quant = cum_p - cum_l[rounds, q_idx]
-
-    pots = rec.potential_sums
-    certs = rec.certificates
-    bounds = None
-    if want_cert:
-        abs_pref = np.cumsum(np.abs(rec.player_losses[:, None] - trace.losses), axis=0)
-        c_best = abs_pref[rounds, best_idx]
-        if algo == "ada":
-            ln_inv_q, n_live = math.log(n), n
-        else:  # tv: copy born at round 1, prior 1/1^2 over the growing registry
-            _, zeta = tv_prior(t_len)
-            ln_inv_q, n_live = np.log(n * zeta), n * np.arange(1.0, t_len + 1.0)
-        bounds = np.sqrt(c_best * bound_coefficient(ln_inv_q, certs, n_live))
-
-    columns = [rec.player_losses, cum_p, regret_best, regret_quant, pots, certs, bounds]
-    _write_trace(Path(out_dir) / f"trace_{algo}_seed{seed}.csv", algo, columns)
-
-    violations = rec.certificate_violations()
+    regret_quant = cum_p - cum_l[rounds, quantile_competitor(cum_l, cfg["eps"][0])]
+    last = cum_l[-1]
     summary = {
         "algo": algo,
         "seed": seed,
         "final_player_loss": float(cum_p[-1]),
         "final_regret_best": float(regret_best[-1]),
-        "final_regret_quantile": {repr(e): float(cum_p[-1] - cum_l[-1, quantile_competitor(cum_l[-1], e)]) for e in cfg["eps"]},
+        "final_regret_quantile": {repr(e): float(cum_p[-1] - last[quantile_competitor(last, e)]) for e in cfg["eps"]},
     }
-    if want_cert:
+
+    violations = rec.certificate_violations()
+    pots, certs, bounds = rec.potential_sums, rec.certificates, None
+    if certified:
+        abs_pref = np.cumsum(np.abs(rec.player_losses[:, None] - trace.losses), axis=0)
+        ln_inv_q, n_live = algorithm.prior_terms(n, t_len)
+        bounds = np.sqrt(abs_pref[rounds, best_idx] * bound_coefficient(ln_inv_q, certs, n_live))
         summary["final_potential_sum"] = float(pots[-1])
         summary["final_certificate_B"] = float(certs[-1])
         summary["final_bound_eq1"] = float(bounds[-1])
-        if float(regret_best[-1]) > float(bounds[-1]) * (1.0 + 1e-9):
+        if count_violations(regret_best[-1], bounds[-1]):
             summary["bound_violation"] = True
             violations += 1
+    columns = [rec.player_losses, cum_p, regret_best, regret_quant, pots, certs, bounds]
+    _write_trace(Path(out_dir) / f"trace_{algo}_seed{seed}.csv", algo, columns)
     if cfg["scenario"] == "stochastic":
         regret_star = cum_p - cum_l[:, 0]
         tenth = max(1, t_len // 10)
@@ -302,23 +276,15 @@ def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
         denom = max(abs(float(regret_star[tenth - 1])), 1.0)
         summary["plateau_ratio"] = float(regret_star[-1]) / denom
     if cfg["scenario"] == "shifting":
-        oracle = kshift_oracle(trace.losses, cfg["k"], rec.player_losses)
+        oracle = kshift_oracle(trace.losses, cfg["k"])
         summary["kshift_loss"] = oracle.loss
         summary["kshift_regret"] = float(cum_p[-1] - oracle.loss)
         summary["kshift_boundaries"] = oracle.boundaries
         summary["kshift_experts"] = oracle.experts
-        if algo == "tv":
-            cert_sum = sum(
-                interval_bound(
-                    rec.player_losses,
-                    trace.losses,
-                    oracle.boundaries[j] + 1,
-                    oracle.boundaries[j + 1],
-                    oracle.experts[j],
-                )
-                for j in range(cfg["k"])
+        if algorithm.segments_bound is not None:
+            summary["kshift_certificate_sum"] = algorithm.segments_bound(
+                rec.player_losses, trace.losses, oracle.boundaries, oracle.experts
             )
-            summary["kshift_certificate_sum"] = float(cert_sum)
     summary["certificate_violations"] = int(violations)
     return summary
 
@@ -343,7 +309,7 @@ def _tree_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
             records.append(registry.round_records(R[: k + 1], C[: k + 1], sizes[: k + 1]))
     best_r, pots, certs, bounds = map(np.concatenate, zip(*records))
     cum_loss = np.cumsum(losses)
-    violations = int(np.count_nonzero(pots > certs * (1.0 + 1e-9)))
+    violations = count_violations(pots, certs)
     columns = [losses, cum_loss, best_r, None, pots, certs, bounds]
     _write_trace(Path(out_dir) / f"trace_{algo}_seed{seed}.csv", algo, columns)
 
@@ -351,8 +317,7 @@ def _tree_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
     best_loss, leaves, pruning = best_pruning(tree, oracle_data)
     tree_regret = realized_total - best_loss
     cert = learner.pruning_certificate(pruning)
-    if math.isfinite(cert) and tree_regret > cert * (1.0 + 1e-9):
-        violations += 1
+    violations += count_violations(tree_regret, cert)
     return {
         "algo": algo,
         "seed": seed,
@@ -391,15 +356,9 @@ def _run_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
 
 def _worker_count(n_tasks: int) -> int:
     env = os.environ.get("ANH_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"ANH_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ConfigError("ANH_THREADS must be at least 1")
-    else:
-        cap = os.cpu_count() or 1
+    cap = _cast("ANH_THREADS", env, integer) if env else os.cpu_count() or 1
+    if cap < 1:
+        raise ConfigError("ANH_THREADS must be at least 1")
     return max(1, min(cap, n_tasks))
 
 
@@ -484,14 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a batch experiment")
     p_run.add_argument("--scenario", choices=SCENARIOS, required=True)
-    p_run.add_argument("--algo", default="ada", help="comma list from: " + ",".join(ALGOS))
+    p_run.add_argument("--algo", default="ada", help="comma list from: " + ",".join(ALGORITHMS))
     p_run.add_argument("--n", type=int, default=None, help="number of experts")
     p_run.add_argument("--t", type=int, default=None, help="number of rounds")
     p_run.add_argument("--k", type=int, default=None, help="segments for the shifting scenario")
     p_run.add_argument("--alpha", type=float, default=None, help="stochastic gap")
     p_run.add_argument("--mu", type=float, default=0.3, help="base Bernoulli mean (default 0.3)")
     p_run.add_argument("--eps", default="0.1", help="comma list of quantile levels")
-    p_run.add_argument("--seeds", type=int, default=None, help="run seeds 0..COUNT-1")
+    p_run.add_argument("--seeds", type=int, default=1, help="run seeds 0..COUNT-1 (default 1)")
     p_run.add_argument("--seed", default=None, help="explicit comma list of seeds")
     p_run.add_argument("--tree", default=None, help="template tree JSON (tree scenario)")
     p_run.add_argument("--data", default=None, help="feature/target CSV (tree scenario)")

@@ -29,8 +29,10 @@ from .potential import ExpertBank, bound_coefficient, check_losses, potential_ca
 __all__ = [
     "TvLearner",
     "tv_prior",
+    "tv_point_mass_terms",
     "adaptive_regret",
     "interval_bound",
+    "segments_bound",
     "check_all_interval_bounds",
 ]
 
@@ -130,6 +132,12 @@ def tv_prior(T: int) -> tuple[np.ndarray, np.ndarray]:
     return qtau, np.cumsum(qtau)
 
 
+def tv_point_mass_terms(N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """For t = 1..T: ln(1/q) = ln(N zeta_t) of one expert's copy born at round 1, and the N*t live copies."""
+    _, zeta = tv_prior(T)
+    return np.log(N * zeta), N * np.arange(1.0, T + 1.0)
+
+
 def _certificate_at(pref_a, qtau, zeta, t2: int, n: int) -> float:
     # potential-sum cap over the n*t2 copies alive at the end of round t2
     return potential_cap(np.repeat(qtau[:t2], n), (pref_a[t2][None, :] - pref_a[0:t2]).ravel())
@@ -151,6 +159,13 @@ def interval_bound(player_losses, losses, t1: int, t2: int, i: int) -> float:
     c_int = float(pref_a[t2, i] - pref_a[t1 - 1, i])
     ln_inv_q = math.log(N * zeta[t2 - 1]) + 2.0 * math.log(t1)
     return math.sqrt(c_int * bound_coefficient(ln_inv_q, _certificate_at(pref_a, qtau, zeta, t2, N), N * t2))
+
+
+def segments_bound(player_losses, losses, boundaries, experts) -> float:
+    """Sum of the interval certificates of a segmented competitor that plays
+    experts[j] over rounds boundaries[j] + 1 .. boundaries[j + 1]."""
+    cuts = zip(boundaries[:-1], boundaries[1:])
+    return float(sum(interval_bound(player_losses, losses, a + 1, b, i) for (a, b), i in zip(cuts, experts)))
 
 
 def check_all_interval_bounds(player_losses, losses, rel_tol: float = 1e-9):

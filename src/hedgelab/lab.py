@@ -38,6 +38,7 @@ __all__ = [
     "tv_bound",
     "HedgeLearner",
     "RunRecord",
+    "count_violations",
     "play",
     "truncated_loss_totals",
     "first_order_bound",
@@ -378,8 +379,12 @@ class RunRecord:
     def certificate_violations(self, rel_tol: float = 1e-9) -> int:
         if self.potential_sums is None or self.certificates is None:
             return 0
-        slack = self.certificates * (1.0 + rel_tol) - self.potential_sums
-        return int(np.sum(slack < 0.0))
+        return count_violations(self.potential_sums, self.certificates, rel_tol)
+
+
+def count_violations(values, caps, rel_tol: float = 1e-9) -> int:
+    """How many values exceed their cap by more than rel_tol relative; NaN never counts."""
+    return int(np.count_nonzero(np.asarray(values) > np.asarray(caps) * (1.0 + rel_tol)))
 
 
 def play(learner, losses, adversary: Callable | None = None, certificates: bool = False) -> RunRecord:

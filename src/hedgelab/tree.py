@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -82,8 +84,11 @@ class TemplateTree:
                 continue
             if len(node.children) != 2:
                 raise ValueError(f"internal node {node.id!r} must have exactly 2 children")
-            if node.feature is None or node.threshold is None or node.feature < 0:
-                raise ValueError(f"internal node {node.id!r} needs a feature index and threshold")
+            feature, threshold = node.feature, node.threshold
+            if isinstance(feature, bool) or not isinstance(feature, numbers.Integral) or feature < 0:
+                raise ValueError(f"internal node {node.id!r} needs a feature index >= 0, got {feature!r}")
+            if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or math.isnan(threshold):
+                raise ValueError(f"internal node {node.id!r} needs a numeric threshold, got {threshold!r}")
             for child in node.children:
                 if child not in self.nodes:
                     raise ValueError(f"unknown child {child!r} of {node.id!r}")

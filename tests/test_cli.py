@@ -12,7 +12,9 @@ import pytest
 import hedgelab
 from hedgelab import cli
 from hedgelab.cli import EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_OK, EXIT_TASK_FAILED, main
-from hedgelab.lab import TRACE_COLUMNS, rng_for
+from hedgelab.fixed import FixedLearner
+from hedgelab.interval import interval_bound
+from hedgelab.lab import TRACE_COLUMNS, gen_adversarial, rng_for
 from hedgelab.sleeping import SleepingRegistry
 from hedgelab.tree import (
     PruningTree,
@@ -173,6 +175,26 @@ class TestArgHandling:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_integral_seeds_count(self, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seeds": 3.0, "n": 3.0}))
+        args = ["run", "--scenario", "adversarial", "--t", "5", "--config", str(cfg_path), "--out", str(out)]
+        assert run_cli(args) == EXIT_OK
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert (config["seeds"], config["n"]) == ([0, 1, 2], 3)
+
+    @pytest.mark.parametrize("key,overrides", [("mu", {"mu": "abc"}), ("k", {"k": "x"}), ("alpha", {"alpha": [0.2]})])
+    def test_numeric_key_checked_where_the_scenario_ignores_it(self, tmp_path, capsys, key, overrides):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(overrides))
+        out = tmp_path / "out"
+        args = ["run", "--scenario", "adversarial", "--n", "2", "--t", "5", "--config", str(cfg_path)]
+        assert run_cli(args + ["--out", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         assert self._run_with_config(tmp_path, json.dumps({"alhpa": 0.3})) == EXIT_BAD_CONFIG
         assert "alhpa" in capsys.readouterr().err
@@ -234,6 +256,33 @@ class TestTreeFiles:
         assert not out.exists()
 
 
+    ONE_SPLIT = {"root": "r", "nodes": [{"id": "a", "prediction": 0.25}, {"id": "b", "prediction": 0.75}]}
+
+    @pytest.mark.parametrize(
+        "split,message",
+        [
+            ({"feature": 0.5, "threshold": 0.5}, "needs a feature index >= 0, got 0.5"),
+            ({"feature": True, "threshold": 0.5}, "needs a feature index >= 0, got True"),
+            ({"feature": 0, "threshold": "0.5"}, "needs a numeric threshold, got '0.5'"),
+        ],
+        ids=["fractional-feature", "bool-feature", "string-threshold"],
+    )
+    def test_bad_split_is_bad_config(self, tmp_path, capsys, tree_fixture, split, message):
+        tree = {**self.ONE_SPLIT, "nodes": [{"id": "r", "children": ["a", "b"], **split}, *self.ONE_SPLIT["nodes"]]}
+        tree_path = tmp_path / "bad_tree.json"
+        tree_path.write_text(json.dumps(tree))
+        out = tmp_path / "out"
+        code = run_cli(
+            ["run", "--scenario", "tree", "--algo", "ada", "--tree", str(tree_path), "--data", str(tree_fixture[1]),
+             "--out", str(out)]
+        )
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: tree file ") and err.count("\n") == 1, err
+        assert f"does not parse: ValueError: internal node 'r' {message}" in err
+        assert not out.exists()
+
+
 class TestTraceCells:
     def test_floats_as_repr_and_nan_empty(self):
         values = np.array([0.1, np.nan, np.inf, -0.0, 1e-300, 2.0 / 3.0])
@@ -281,6 +330,28 @@ class TestRunOutputs:
             assert float(row["potential_sum"]) <= float(row["certificate_B"]) * (1 + 1e-9)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["invariant_failures"] == 0
+
+    def test_bound_column_is_the_point_mass_bound(self, tmp_path):
+        # ada: the fixed learner's bound for a point mass on the best expert so far;
+        # tv: the interval certificate of the copy of that expert born at round 1
+        n, t_len, seed = 4, 120, 3
+        args = ["run", "--scenario", "adversarial", "--algo", "ada,tv", "--n", str(n), "--t", str(t_len)]
+        assert run_cli(args + ["--seed", str(seed), "--out", str(tmp_path)]) == EXIT_OK
+        losses = gen_adversarial(n, t_len, seed).losses
+        best = np.argmin(np.cumsum(losses, axis=0), axis=1)
+        rows = {}
+        for algo in ("ada", "tv"):
+            lines = (tmp_path / f"trace_{algo}_seed{seed}.csv").read_text().splitlines()[1:]
+            rows[algo] = [line.split(",") for line in lines]
+        tv_player = np.array([float(row[2]) for row in rows["tv"]])
+        ada = FixedLearner(np.full(n, 1.0 / n))
+        for t, lvec in enumerate(losses, start=1):
+            ada.update(lvec)
+            if t in (1, t_len // 2, t_len):
+                i = int(best[t - 1])
+                expected = {"ada": ada.regret_bound(np.eye(n)[i]), "tv": interval_bound(tv_player, losses, 1, t, i)}
+                for algo, value in expected.items():
+                    assert float(rows[algo][t - 1][8]) == pytest.approx(value, rel=1e-12, abs=0.0), (algo, t)
 
     def test_hedge_columns_empty(self, tmp_path):
         run_cli(

@@ -106,6 +106,19 @@ class TestTemplateValidation:
         with pytest.raises(ValueError):
             TemplateTree([TreeNode("root")], "root")
 
+    @pytest.mark.parametrize(
+        "feature,threshold",
+        [(0.5, 0.5), (True, 0.5), (np.float64(1.0), 0.5), (0, "0.5"), (0, math.nan), (0, True)],
+        ids=[
+            "fractional-feature", "bool-feature", "float-feature",
+            "string-threshold", "nan-threshold", "bool-threshold",
+        ],
+    )
+    def test_bad_split_rejected(self, feature, threshold):
+        nodes = [TreeNode("root", children=("l", "r"), feature=feature, threshold=threshold)]
+        with pytest.raises(ValueError, match="internal node 'root' needs"):
+            TemplateTree(nodes + [TreeNode("l", prediction=0.1), TreeNode("r", prediction=0.2)], "root")
+
 
 class TestTraverse:
     def test_depth1_single_edge(self, depth1_tree):
