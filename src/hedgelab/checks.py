@@ -20,7 +20,9 @@ from .lab import (
     rng_for,
 )
 from .potential import CheckResult
-from .tree import best_pruning, best_pruning_bruteforce, random_template_tree, squared_loss
+from .tree import (
+    best_pruning, best_pruning_bruteforce, pruning_leaves, pruning_predict, random_template_tree, squared_loss
+)
 
 __all__ = [
     "check_kshift_oracle",
@@ -53,7 +55,7 @@ def check_kshift_oracle(n_instances: int = 200, seed: int = 1234) -> CheckResult
 
 
 def check_pruning_oracle(n_trees: int = 50, seed: int = 777) -> CheckResult:
-    """Bottom-up pruning program equals subset enumeration on random trees."""
+    """Bottom-up pruning program equals subset enumeration on random trees; its pruning achieves its result."""
     res = CheckResult("pruning-oracle-vs-enumeration")
     rng = rng_for(seed, stream=10)
     for _ in range(n_trees):
@@ -70,6 +72,9 @@ def check_pruning_oracle(n_trees: int = 50, seed: int = 777) -> CheckResult:
         res.record(1e-9 - abs(loss_fast - loss_slow), ("loss", depth, n_samples))
         res.record(0.0 if leaves_fast == leaves_slow else -1.0, ("leaves", depth, n_samples))
         pruning.validate(tree)
+        witness = sum(float(loss_fn(pruning_predict(tree, pruning, x))) for x, loss_fn in data)
+        res.record(1e-9 - abs(witness - loss_fast), ("witness loss", depth, n_samples))
+        res.record(0.0 if pruning_leaves(tree, pruning) == leaves_fast else -1.0, ("witness leaves", depth, n_samples))
     return res
 
 

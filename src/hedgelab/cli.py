@@ -19,8 +19,9 @@ process per CPU).
 Exit codes: 0 ok; 1 a selfcheck row failed, or a run task raised (each
 failed task is named on stderr and listed under "failed_tasks" in
 summary.json, which is still written); 2 invalid config, --tree/--data
-content included; 3 a runtime certificate was violated (CERTIFICATE_VIOLATION
-on stderr).  A run with both failed tasks and a violation exits 1.
+content and an --out that is no directory included; 3 a runtime certificate
+was violated (CERTIFICATE_VIOLATION on stderr).  A run with both failed tasks
+and a violation exits 1.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ class ConfigError(ValueError):
 
 
 def integer(value) -> int:
-    """int(value), refusing booleans and fractional numbers, which int() truncates."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int(value), refusing fractional numbers, which int() truncates."""
+    if isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
     return int(value)
 
@@ -109,15 +110,21 @@ NUMBERS = {"n": integer, "t": integer, "k": integer, "alpha": float, "mu": float
 
 
 def _cast(key: str, value, cast):
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be {cast.__name__}, got {value!r}") from None
+    """cast(value), refusing booleans, which int() and float() would read as 1 and 0."""
+    if not isinstance(value, bool):
+        try:
+            return cast(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{key} must be {cast.__name__}, got {value!r}")
 
 
 def _parse_list(key: str, value, cast):
-    if not isinstance(value, (list, tuple)):
-        value = [v for v in str(value).split(",") if v != ""]
+    """A comma-separated string, a list, or any other scalar as a one-item list, each item cast."""
+    if isinstance(value, str):
+        value = [v for v in value.split(",") if v != ""]
+    elif not isinstance(value, (list, tuple)):
+        value = [value]
     return [_cast(key, v, cast) for v in value]
 
 
@@ -292,29 +299,15 @@ def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
 def _tree_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
     tree, data = cfg["tree"], cfg["data"]  # parsed by run()
     loss_factory = squared_loss if cfg["loss"] == "squared" else absolute_loss
+    rounds = [(x, loss_factory(z)) for x, z in data]
     learner = TreeLearner(tree)
-    registry, bank = learner.registry, learner.registry._bank
-    R, C = np.zeros((2, RECORD_BLOCK, len(tree.parent)))  # row k: the bank after round k of a block
-    sizes = np.zeros(RECORD_BLOCK, dtype=int)
-    losses, records, realized_total = [], [], 0.0
-    for t, (x, z) in enumerate(data):
-        loss_fn = loss_factory(z)
-        y, player_loss = learner.play_round(x, loss_fn)
-        realized_total += float(loss_fn(y))
-        losses.append(player_loss)
-        k = t % RECORD_BLOCK
-        n = sizes[k] = bank.q.size
-        R[k, :n], C[k, :n] = bank.R, bank.C
-        if k == RECORD_BLOCK - 1 or t == len(data) - 1:
-            records.append(registry.round_records(R[: k + 1], C[: k + 1], sizes[: k + 1]))
-    best_r, pots, certs, bounds = map(np.concatenate, zip(*records))
+    losses, realized_total, (best_r, pots, certs, bounds) = learner.play_rounds(rounds, RECORD_BLOCK)
     cum_loss = np.cumsum(losses)
     violations = count_violations(pots, certs)
     columns = [losses, cum_loss, best_r, None, pots, certs, bounds]
     _write_trace(Path(out_dir) / f"trace_{algo}_seed{seed}.csv", algo, columns)
 
-    oracle_data = [(x, loss_factory(z)) for x, z in data]
-    best_loss, leaves, pruning = best_pruning(tree, oracle_data)
+    best_loss, leaves, pruning = best_pruning(tree, rounds)
     tree_regret = realized_total - best_loss
     cert = learner.pruning_certificate(pruning)
     violations += count_violations(tree_regret, cert)
@@ -367,7 +360,10 @@ def run(cfg: dict) -> int:
     workers = _worker_count(len(tasks))  # a bad ANH_THREADS raises before the output directory exists
     task_cfg = _parse_tree_files(cfg) if cfg["scenario"] == "tree" else cfg
     out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg['out']!r}: {type(exc).__name__}: {exc}") from None
     results, failed = [], []
 
     def collect(algo: str, seed: int, result) -> None:

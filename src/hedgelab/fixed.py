@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .potential import ExpertBank, PotentialParams, bound_coefficient, check_losses
+from .potential import BankCertificates, ExpertBank, PotentialParams, bound_coefficient, check_losses
 
 __all__ = ["FixedLearner", "relative_entropy", "competitor_bound"]
 
@@ -51,7 +51,7 @@ def _as_prob_vector(v, n: int | None = None, name: str = "vector") -> np.ndarray
     return v / total
 
 
-class FixedLearner:
+class FixedLearner(BankCertificates):
     """Hedging learner over N experts with prior q and accumulator exponent d.
 
     The prior may be given as any nonnegative weight vector; it is normalized
@@ -105,22 +105,6 @@ class FixedLearner:
         player_loss = self._bank.update(check_losses(losses, self.n_experts))
         self.t += 1
         return player_loss
-
-    def potential_sum(self) -> float:
-        """Current prior-weighted sum of per-expert potentials."""
-        return self._bank.potential_sum()
-
-    def certificate(self) -> float:
-        """Upper bound the weighted potential sum must satisfy at every round.
-
-        Only available for d=1: 1 + (3/2) * sum_i q_i (1 + ln(1 + C_i)).
-        After T rounds this is at most 5/2 + (3/2) ln(1+T).
-        """
-        return self._bank.certificate()
-
-    def certify(self) -> tuple[float, float]:
-        """(potential_sum(), certificate()) from one pass over the bank."""
-        return self._bank.certify()
 
     def bound_coefficient(self, u) -> float:
         """A(u) = 3 * (RE(u||q) + ln B + ln(1 + ln N)) for competitor u."""

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .potential import ExpertBank, bound_coefficient, check_losses, potential_cap
+from .potential import BankCertificates, ExpertBank, bound_coefficient, check_losses, potential_cap
 
 __all__ = [
     "TvLearner",
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-class TvLearner:
+class TvLearner(BankCertificates):
     """Base-expert predictions from per-birth-round sleeping copies (d = 1)."""
 
     def __init__(self, n_base: int, horizon: int | None = None):
@@ -51,6 +51,10 @@ class TvLearner:
     def n_sleeping(self) -> int:
         """Number of live copies: one per (birth round, base expert) pair."""
         return self.n * self.t
+
+    @property
+    def _live(self) -> slice:  # the rows certified: the live copies
+        return slice(0, self.n_sleeping)
 
     def copy_state(self, tau: int, i: int) -> tuple[float, float]:
         """Accumulators of the copy born at round tau (1-based) for expert i."""
@@ -78,18 +82,6 @@ class TvLearner:
         player_loss = self._bank.update(np.tile(losses, self.t + 1), rows)
         self.t += 1
         return player_loss
-
-    def potential_sum(self) -> float:
-        """Normalized-prior potential sum over all live copies."""
-        return self._bank.potential_sum(slice(0, self.n_sleeping))
-
-    def certificate(self) -> float:
-        """Round-by-round upper bound for the potential sum over live copies."""
-        return self._bank.certificate(slice(0, self.n_sleeping))
-
-    def certify(self) -> tuple[float, float]:
-        """(potential_sum(), certificate()) from one pass over the live copies."""
-        return self._bank.certify(slice(0, self.n_sleeping))
 
 
 # ---------------------------------------------------------------------------

@@ -284,20 +284,11 @@ def timevarying_regret(player_losses, losses, useq) -> float:
     return float(np.sum(useq * r))
 
 
-def tv_bound(player_losses, losses, useq, a_coeff: float, z_kind: str = "abs_regret") -> float:
-    """sqrt(A * V(u) * sum_t u_t . z_t) with z the per-round comparison scale.
-
-    z_kind 'abs_regret' uses |player_loss - loss|; 'excess_loss' uses
-    [loss - player_loss]_+.  a_coeff is the caller's interval-regret constant.
-    """
+def tv_bound(player_losses, losses, useq, a_coeff: float) -> float:
+    """sqrt(A * V(u) * sum_t u_t . |player_loss_t - loss_t|); a_coeff is the
+    caller's interval-regret constant A."""
     useq, r = _competitor_regrets(player_losses, losses, useq)
-    if z_kind == "abs_regret":
-        z = np.abs(r)
-    elif z_kind == "excess_loss":
-        z = np.maximum(-r, 0.0)
-    else:
-        raise ValueError(f"unknown z_kind {z_kind!r}")
-    return math.sqrt(a_coeff * variation(useq) * float(np.sum(useq * z)))
+    return math.sqrt(a_coeff * variation(useq) * float(np.sum(useq * np.abs(r))))
 
 
 def truncated_loss_totals(player_losses, losses) -> np.ndarray:
@@ -330,11 +321,11 @@ def default_eta_schedule(n: int) -> Callable[[int], float]:
 class HedgeLearner:
     """Exponential weights: p_{t,i} proportional to q_i exp(-eta_t L_{t-1,i})."""
 
-    def __init__(self, n: int, eta_schedule: Callable[[int], float] | None = None, prior=None):
+    def __init__(self, n: int, eta_schedule: Callable[[int], float] | None = None):
         if n < 1:
             raise ValueError("need at least one expert")
         self.n = int(n)
-        self.q = np.full(self.n, 1.0 / self.n) if prior is None else np.asarray(prior, dtype=float) / np.sum(prior)
+        self.q = np.full(self.n, 1.0 / self.n)
         self.eta_schedule = eta_schedule if eta_schedule is not None else default_eta_schedule(self.n)
         self.L = np.zeros(self.n)
         self.t = 0

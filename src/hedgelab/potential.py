@@ -12,7 +12,7 @@ space only overflows past C ~ 2000, far beyond harness scales.
 ExpertBank holds the (prior, R, C) rows that the fixed, sleeping and interval
 learners predict, update and certify through; potential_cap, bound_coefficient
 and check_losses are the cap, the bound and the loss check they all share;
-certify_stack certifies saved states, ExpertBank.certify the live one.
+certify_stack certifies saved states and BankCertificates the learners' live rows.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "BankCertificates",
     "PotentialParams",
     "ExpertState",
     "phi",
@@ -269,7 +270,7 @@ class ExpertBank:
         return player_loss
 
     def certify(self, rows=slice(None)) -> tuple[float, float]:
-        """The round's certificate record: (potential_sum(rows), certificate(rows))."""
+        """potential_sum(rows) and the cap it stays under (d = 1 only)."""
         if self.params.d != 1.0:
             raise ValueError("potential certificate is only supported for d = 1")
         return self._certify(rows)
@@ -283,9 +284,23 @@ class ExpertBank:
         """Potential sum over the rows, with the prior normalized over them."""
         return self._certify(rows)[0]
 
-    def certificate(self, rows=slice(None)) -> float:
-        """The cap the potential sum over the rows stays under (d = 1 only)."""
-        return self.certify(rows)[1]
+
+class BankCertificates:
+    """The certify surface of a learner over the rows `_live` (all by default) of its ExpertBank `_bank`."""
+
+    _live = slice(None)
+
+    def potential_sum(self) -> float:
+        """Prior-weighted potential sum over the live rows, the prior normalized over them."""
+        return self._bank.potential_sum(self._live)
+
+    def certificate(self) -> float:
+        """The cap the potential sum stays under at every round (d = 1 only), potential_cap of the live rows."""
+        return self._bank.certify(self._live)[1]
+
+    def certify(self) -> tuple[float, float]:
+        """(potential_sum(), certificate()) from one pass over the live rows."""
+        return self._bank.certify(self._live)
 
 
 # ---------------------------------------------------------------------------

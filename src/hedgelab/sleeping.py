@@ -17,7 +17,8 @@ tree.TreeLearner registers each root-to-leaf path once through the same
 registration step, in path order, keeps its rows per leaf and calls the bank
 with them directly: an edge is never registered before its ancestors, so rows
 ascend along every path, the order the mapping API would sort them into.
-round_records computes round_record() later, in one pass over saved states.
+round_records computes round_record() later, in one pass over the states
+that TreeLearner.play_rounds saves.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .fixed import competitor_bound
-from .potential import ExpertBank, ExpertState, PotentialParams, bound_coefficient, certify_stack, check_losses
+from .potential import BankCertificates, ExpertBank, ExpertState, bound_coefficient, certify_stack, check_losses
 
 __all__ = ["ExpertId", "ConfidenceRound", "SleepingRegistry"]
 
@@ -47,16 +48,12 @@ class ConfidenceRound:
     awake: dict
 
 
-class SleepingRegistry:
+class SleepingRegistry(BankCertificates):
     """Expert ids mapped to rows of an expert bank, with wake/sleep updates."""
 
-    def __init__(
-        self,
-        prior_policy: Callable[[ExpertId], float] | None = None,
-        params: PotentialParams | None = None,
-    ):
+    def __init__(self, prior_policy: Callable[[ExpertId], float] | None = None):
         self._prior_policy = prior_policy if prior_policy is not None else (lambda _i: 1.0)
-        self._bank = ExpertBank(params)
+        self._bank = ExpertBank()
         self._rows: dict = {}  # id -> bank row, in registration order
 
     # -- registry bookkeeping ------------------------------------------------
@@ -144,18 +141,6 @@ class SleepingRegistry:
 
     # -- certificates ---------------------------------------------------------
 
-    def potential_sum(self) -> float:
-        """Prior-weighted potential sum over registered ids (prior normalized)."""
-        return self._bank.potential_sum()
-
-    def certificate(self) -> float:
-        """Round-by-round upper bound for the potential sum (d = 1 only)."""
-        return self._bank.certificate()
-
-    def certify(self) -> tuple[float, float]:
-        """(potential_sum(), certificate()) from one pass over the bank."""
-        return self._bank.certify()
-
     def round_record(self) -> tuple[float, float, float, float]:
         """One round's certificate record: the R of best_id(), the potential sum,
         its cap and regret_bound({best_id(): 1.0}); round_records' one-row case."""
@@ -165,9 +150,7 @@ class SleepingRegistry:
     def round_records(self, R: np.ndarray, C: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
         """round_record() of past states, bit for bit, as four arrays: row k of
         R and C holds the bank's R and C in its first sizes[k] > 0 entries, the
-        ids registered by then (d = 1 only)."""
-        if self._bank.params.d != 1.0:
-            raise ValueError("potential certificate is only supported for d = 1")
+        ids registered by then."""
         # the first registered among ties, as best_id(); for a point mass u on it,
         # u . C is C[best] and RE(u||q) is ln(1 / q_best), as in competitor_bound
         best = np.argmax(np.where(np.arange(R.shape[1]) < sizes[:, None], R, -np.inf), axis=1)

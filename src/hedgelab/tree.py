@@ -11,8 +11,9 @@ the first child when x[feature] < threshold, else to the second.  Node
 predictions are constants in [0, 1]; the root predicts nothing and is never
 prunable.  JSON serialization: {"root": id, "nodes": [{"id", "feature",
 "threshold", "children", "prediction"}]}.  Data files are CSV with feature
-columns f0..fk and a target column z in [0, 1].  A run (cli) certifies its
-rounds in blocks, from saved registry states, by SleepingRegistry.round_records.
+columns f0..fk, none NaN, and a target column z in [0, 1].
+TreeLearner.play_rounds plays and certifies a run, the certificates in blocks
+of rounds from saved registry states, by SleepingRegistry.round_records.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .potential import PotentialParams, check_losses
+from .potential import check_losses
 from .sleeping import SleepingRegistry
 
 __all__ = [
@@ -252,9 +253,9 @@ class TreeLearner:
     predict(x) followed by update(x, loss_fn) bit for bit.
     """
 
-    def __init__(self, tree: TemplateTree, params: PotentialParams | None = None):
+    def __init__(self, tree: TemplateTree):
         self.tree = tree
-        self.registry = SleepingRegistry(params=params)
+        self.registry = SleepingRegistry()
         self._paths: dict[str, list] = {}  # leaf -> [edges, child predictions, bank rows once registered]
 
     @property
@@ -308,6 +309,25 @@ class TreeLearner:
         rows, p, y = self._weigh(path)
         return y, self.registry._bank.update(losses, rows, p=p)
 
+    def play_rounds(self, rounds: list[tuple], block: int) -> tuple[list, float, tuple[np.ndarray, ...]]:
+        """play_round every (x, loss_fn) in turn; return the player losses, the total loss_fn(prediction)
+        and the registry's round_record() after every round as four arrays, computed by round_records
+        from the states saved `block` rounds at a time (no record feeds back into the learner)."""
+        bank = self.registry._bank
+        R, C = np.zeros((2, block, len(self.tree.parent)))  # row k: the bank after round k of a block
+        sizes = np.zeros(block, dtype=int)
+        losses, records, realized_total = [], [], 0.0
+        for t, (x, loss_fn) in enumerate(rounds):
+            y, player_loss = self.play_round(x, loss_fn)
+            realized_total += float(loss_fn(y))  # not sum(): from Python 3.12 on it compensates float sums
+            losses.append(player_loss)
+            k = t % block
+            n = sizes[k] = bank.q.size
+            R[k, :n], C[k, :n] = bank.R, bank.C
+            if k == block - 1 or t == len(rounds) - 1:
+                records.append(self.registry.round_records(R[: k + 1], C[: k + 1], sizes[: k + 1]))
+        return losses, realized_total, tuple(map(np.concatenate, zip(*records)))
+
     def terminal_edges(self, pruning: PruningTree) -> list[Edge]:
         """Edges into the effective leaves of a pruning of the template."""
         return [(self.tree.parent[nid], nid) for nid in _effective_leaves(self.tree, pruning)]
@@ -338,54 +358,30 @@ def best_pruning(tree: TemplateTree, data: list[tuple]) -> tuple[float, int, Pru
     """
     if not data:
         raise ValueError("data must be nonempty")
-    hit_loss: dict[str, float] = {}
-    reached: set[str] = {tree.root}
+    hit_loss: dict[str, float] = {}  # reached non-root node -> loss of predicting with it
     for x, loss_fn in data:
         nid = tree.root
         while not tree.nodes[nid].is_leaf:
-            nid_next = tree.route_child(nid, x)
-            hit_loss[nid_next] = hit_loss.get(nid_next, 0.0) + float(loss_fn(tree.nodes[nid_next].prediction))
-            reached.add(nid_next)
-            nid = nid_next
+            nid = tree.route_child(nid, x)
+            hit_loss[nid] = hit_loss.get(nid, 0.0) + float(loss_fn(tree.nodes[nid].prediction))
 
-    choice: dict[str, str] = {}
-
-    def best(nid: str) -> tuple[float, int]:
-        node = tree.nodes[nid]
-        if nid not in reached:
-            choice[nid] = "leaf"
-            return 0.0, 1
-        if node.is_leaf:
-            choice[nid] = "leaf"
-            return hit_loss.get(nid, 0.0), 1
-        sub_loss, sub_leaves = 0.0, 0
-        for child in node.children:
-            cl, cm = best(child)
-            sub_loss += cl
-            sub_leaves += cm
-        if nid == tree.root:
-            choice[nid] = "subtree"
-            return sub_loss, sub_leaves
+    def best(nid: str) -> tuple[float, int, list[str]]:
+        """(loss, leaves, pruned nodes) of the best pruning of nid's subtree."""
         leaf_loss = hit_loss.get(nid, 0.0)
-        if leaf_loss <= sub_loss:  # ties collapse to the single leaf
-            choice[nid] = "leaf"
-            return leaf_loss, 1
-        choice[nid] = "subtree"
-        return sub_loss, sub_leaves
-
-    total, leaves = best(tree.root)
-
-    pruned: set[str] = set()
-
-    def collect(nid: str) -> None:
-        if choice[nid] == "leaf":
-            if not tree.nodes[nid].is_leaf:
-                pruned.add(nid)
-            return
+        if tree.nodes[nid].is_leaf:
+            return leaf_loss, 1, []
+        sub_loss, sub_leaves, sub_pruned = 0.0, 0, []
         for child in tree.nodes[nid].children:
-            collect(child)
+            loss, leaves, pruned = best(child)
+            sub_loss += loss
+            sub_leaves += leaves
+            sub_pruned += pruned
+        # ties collapse to the single leaf, unreached subtrees (0 against 0) included
+        if nid != tree.root and leaf_loss <= sub_loss:
+            return leaf_loss, 1, [nid]
+        return sub_loss, sub_leaves, sub_pruned
 
-    collect(tree.root)
+    total, leaves, pruned = best(tree.root)
     pruning = PruningTree(frozenset(pruned))
     pruning.validate(tree)
     return total, leaves, pruning
@@ -493,6 +489,8 @@ def load_tree_data(path) -> list[tuple[np.ndarray, float]]:
         out = []
         for row in reader:
             x = np.array([float(row[c]) for c in feat_cols])
+            if np.isnan(x).any():  # x[f] < threshold is false for NaN, which would silently pick a child
+                raise ValueError(f"feature value NaN on line {reader.line_num}")
             z = float(row["z"])
             if not (0.0 <= z <= 1.0):
                 raise ValueError(f"target {z} outside [0, 1]")

@@ -159,3 +159,33 @@ class TestRoundRecords:
             assert pots[k] == float(np.dot(qk, phi_arr(r, c)) / qk.sum())
             assert caps[k] == potential_cap(qk, c)
             assert q_sums[k] == qk.sum()
+
+
+def hit_the_favourite(t, p):
+    """Adaptive adversary: loss 1 on the expert with the largest weight (the
+    first among ties), 0 on the rest."""
+    losses = np.zeros(p.size)
+    losses[np.argmax(p)] = 1.0
+    return losses
+
+
+class TestAdaptiveAdversary:
+    """The certificates are theorems about every loss sequence, so they hold
+    against an adversary that reads each prediction before choosing losses."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_fixed_learner(self, n):
+        learner = FixedLearner(np.full(n, 1.0 / n))
+        rec = play(learner, 2000, adversary=hit_the_favourite, certificates=True)
+        assert rec.certificate_violations() == 0
+        totals = rec.losses.sum(axis=0)
+        best = int(np.argmin(totals))
+        regret = float(rec.player_losses.sum() - totals[best])
+        assert regret > 0.0  # the adversary makes the learner pay
+        assert regret <= learner.regret_bound(np.eye(n)[best])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_tv_learner(self, n):
+        rec = play(TvLearner(n), 300, adversary=hit_the_favourite, certificates=True)
+        assert rec.potential_sums.size == 300
+        assert rec.certificate_violations() == 0

@@ -201,6 +201,43 @@ class TestArgHandling:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize(
+        "key,overrides",
+        [
+            ("alpha", {"scenario": "stochastic", "alpha": True, "mu": 0}), ("mu", {"mu": True}),
+            ("eps", {"eps": [True]}), ("eps", {"eps": True}),
+        ],
+    )
+    def test_boolean_is_not_a_real(self, tmp_path, capsys, key, overrides):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(overrides))
+        out = tmp_path / "out"
+        args = ["run", "--scenario", "adversarial", "--n", "2", "--t", "5", "--config", str(cfg_path)]
+        assert run_cli(args + ["--out", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be float, got True") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_scalar_seed_is_a_one_item_list(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 3.0}))
+        out = tmp_path / "out"
+        args = ["run", "--scenario", "adversarial", "--n", "2", "--t", "5", "--config", str(cfg_path)]
+        assert run_cli(args + ["--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["config"]["seeds"] == [3]
+
+    @pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+    def test_out_that_is_no_directory_is_bad_config(self, tmp_path, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker / "out" if under else blocker
+        args = ["run", "--scenario", "adversarial", "--n", "2", "--t", "5", "--out", str(out)]
+        assert run_cli(args) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory") and err.count("\n") == 1, err
+        assert blocker.read_text() == "not a directory\n"
+
+
 class TestTreeFiles:
     @pytest.mark.parametrize("missing", ["tree", "data"])
     def test_missing_file_is_bad_config(self, tmp_path, capsys, tree_fixture, missing):
@@ -255,6 +292,21 @@ class TestTreeFiles:
         assert re.match(f"error: {message}", err), err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("value,code", [("nan", EXIT_BAD_CONFIG), ("inf", EXIT_OK), ("-inf", EXIT_OK)])
+    def test_nan_feature_is_bad_config(self, tmp_path, capsys, tree_fixture, value, code):
+        tree_path, data_path = tree_fixture
+        lines = data_path.read_text().splitlines()
+        lines[5] = ",".join([value, *lines[5].split(",")[1:]])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        args = ["run", "--scenario", "tree", "--algo", "ada", "--tree", str(tree_path), "--data", str(bad)]
+        assert run_cli(args + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_BAD_CONFIG:
+            assert re.match("error: data file .* does not parse: ValueError: feature value NaN on line 6", err), err
+            assert err.count("\n") == 1 and not out.exists()
 
     ONE_SPLIT = {"root": "r", "nodes": [{"id": "a", "prediction": 0.25}, {"id": "b", "prediction": 0.75}]}
 

@@ -357,6 +357,24 @@ class TestPlayRoundEquivalence:
         assert learner.registry.ids() == [("root", "b")]
 
 
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_play_rounds_records_every_round(self, block):
+        rng = rng_for(300, 2)
+        tree = random_template_tree(4, 3, rng)
+        rounds = [(rng.uniform(0, 1, 3), squared_loss(float(rng.uniform(0, 1)))) for _ in range(20)]
+        learner, ref = TreeLearner(tree), TreeLearner(tree)
+        losses, realized, records = learner.play_rounds(rounds, block)
+        ref_losses, ref_realized, ref_records = [], 0.0, []
+        for x, loss_fn in rounds:
+            y, player_loss = ref.play_round(x, loss_fn)
+            ref_losses.append(player_loss)
+            ref_realized += float(loss_fn(y))
+            ref_records.append(ref.registry.round_record())
+        assert (losses, realized) == (ref_losses, ref_realized)
+        assert [col.tolist() for col in records] == [list(col) for col in zip(*ref_records)]
+        assert_same_registry(learner.registry, ref.registry)
+
+
 class TestBestPruning:
     def test_recovers_generating_pruning(self):
         rng = rng_for(4, 2)
@@ -475,6 +493,14 @@ class TestSerialization:
         for (x1, z1), (x2, z2) in zip(data, loaded):
             np.testing.assert_array_equal(x1, x2)
             assert z1 == z2
+
+    def test_nan_feature_rejected_inf_kept(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("f0,f1,z\n0.5,inf,0.5\n-inf,0.5,0.5\n")
+        assert [x.tolist() for x, _ in load_tree_data(path)] == [[0.5, math.inf], [-math.inf, 0.5]]
+        path.write_text("f0,f1,z\n0.5,0.5,0.5\n0.5,nan,0.5\n")
+        with pytest.raises(ValueError, match="feature value NaN on line 3"):
+            load_tree_data(path)
 
     def test_data_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
