@@ -165,9 +165,11 @@ def validate_config(cfg: dict) -> None:
 
     if cfg["scenario"] not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg['scenario']!r}; choose from {SCENARIOS}")
-    for key in ("algos", "eps", "seeds"):
+    for key in ("algos", "eps", "seeds"):  # a repeat would rerun a task over its own trace file, or merge eps keys
         if not cfg[key]:
             raise ConfigError(f"need at least one value for {key}")
+        if len(set(cfg[key])) < len(cfg[key]):
+            raise ConfigError(f"{key} must not repeat a value, got {cfg[key]}")
     if not isinstance(cfg["out"], str):
         raise ConfigError(f"out must be a path, got {cfg['out']!r}")
     for key in ("tree", "data"):

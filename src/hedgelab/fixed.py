@@ -120,10 +120,10 @@ class FixedLearner(BankCertificates):
         return self._regret_bound(u, self.n_experts)
 
     def regret_bound_uniform_subset(self, subset) -> float:
-        """Sharper bound for u uniform over a subset S: the log-log term drops to 1."""
-        idx = np.asarray(subset, dtype=int)
-        if idx.size == 0:
-            raise ValueError("subset must be nonempty")
+        """Sharper bound for u uniform over a subset S (a repeated index counts once): the log-log term drops to 1."""
+        idx = np.unique(np.asarray(subset, dtype=int))
+        if idx.size == 0 or idx[0] < 0 or idx[-1] >= self.n_experts:
+            raise ValueError(f"subset must be a nonempty set of indices in [0, {self.n_experts})")
         u = np.zeros(self.n_experts)
         u[idx] = 1.0 / idx.size
         return self._regret_bound(u, None)

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .potential import BankCertificates, ExpertBank, bound_coefficient, check_losses, potential_cap
+from .potential import BankCertificates, ExpertBank, bound_coefficient, check_losses, check_trace, potential_cap
 
 __all__ = [
     "TvLearner",
@@ -58,8 +58,8 @@ class TvLearner(BankCertificates):
 
     def copy_state(self, tau: int, i: int) -> tuple[float, float]:
         """Accumulators of the copy born at round tau (1-based) for expert i."""
-        if not (1 <= tau <= self.t):
-            raise ValueError(f"birth round {tau} not in [1, {self.t}]")
+        if not (1 <= tau <= self.t and 0 <= i < self.n):
+            raise ValueError(f"no copy of expert {i} born at round {tau}: need 1 <= tau <= {self.t}, 0 <= i < {self.n}")
         row = (tau - 1) * self.n + i
         return float(self._bank.R[row]), float(self._bank.C[row])
 
@@ -91,30 +91,28 @@ class TvLearner(BankCertificates):
 # ---------------------------------------------------------------------------
 
 
-def _validate_trace(player_losses, losses):
-    player_losses = np.asarray(player_losses, dtype=float)
-    losses = np.asarray(losses, dtype=float)
-    if losses.ndim != 2 or player_losses.ndim != 1 or losses.shape[0] != player_losses.size:
-        raise ValueError("trace shapes do not match")
+def _interval_trace(player_losses, losses, t1: int, t2: int, i: int):
+    """The checked trace arrays, rejecting rounds outside 1 <= t1 <= t2 <= T and an expert outside [0, N)."""
+    player_losses, losses = check_trace(player_losses, losses)
+    T, N = losses.shape
+    if not (1 <= t1 <= t2 <= T and 0 <= i < N):
+        raise ValueError(f"need 1 <= t1 <= t2 <= {T} and 0 <= i < {N}, got t1={t1}, t2={t2}, i={i}")
     return player_losses, losses
 
 
 def adaptive_regret(player_losses, losses, t1: int, t2: int, i: int) -> float:
     """Regret to expert i over rounds t1..t2 inclusive (1-based)."""
-    player_losses, losses = _validate_trace(player_losses, losses)
-    T, N = losses.shape
-    if not (1 <= t1 <= t2 <= T):
-        raise ValueError(f"need 1 <= t1 <= t2 <= {T}, got [{t1}, {t2}]")
-    if not (0 <= i < N):
-        raise ValueError(f"expert index {i} out of range")
+    player_losses, losses = _interval_trace(player_losses, losses, t1, t2, i)
     return float(np.sum(player_losses[t1 - 1 : t2] - losses[t1 - 1 : t2, i]))
+
+
+def _prefix(x):
+    return np.vstack([np.zeros(x.shape[1]), np.cumsum(x, axis=0)])
 
 
 def _prefixes(player_losses, losses):
     r = player_losses[:, None] - losses
-    pref_r = np.vstack([np.zeros(losses.shape[1]), np.cumsum(r, axis=0)])
-    pref_a = np.vstack([np.zeros(losses.shape[1]), np.cumsum(np.abs(r), axis=0)])
-    return pref_r, pref_a
+    return _prefix(r), _prefix(np.abs(r))
 
 
 def tv_prior(T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,6 +133,14 @@ def _certificate_at(pref_a, qtau, zeta, t2: int, n: int) -> float:
     return potential_cap(np.repeat(qtau[:t2], n), (pref_a[t2][None, :] - pref_a[0:t2]).ravel())
 
 
+def _interval_bounds(pref_a, qtau, zeta, t2: int, n: int, births: slice, log_t1) -> np.ndarray:
+    """Certificates at round t2 of the copies born at rounds t1 = births.start + 1 .. births.stop,
+    one row per birth round (log_t1 holds their ln t1) and one column per expert."""
+    ln_inv_q = math.log(n * zeta[t2 - 1]) + 2.0 * log_t1
+    cap = _certificate_at(pref_a, qtau, zeta, t2, n)
+    return np.sqrt((pref_a[t2][None, :] - pref_a[births]) * bound_coefficient(ln_inv_q[:, None], cap, n * t2))
+
+
 def interval_bound(player_losses, losses, t1: int, t2: int, i: int) -> float:
     """Certificate for the interval regret of the copy born at t1 for expert i.
 
@@ -142,43 +148,34 @@ def interval_bound(player_losses, losses, t1: int, t2: int, i: int) -> float:
     q_(t1) is the normalized 1/t1^2 prior over the N*t2 copies alive at t2 and
     B' is their potential-sum cap.
     """
-    player_losses, losses = _validate_trace(player_losses, losses)
-    T, N = losses.shape
-    if not (1 <= t1 <= t2 <= T):
-        raise ValueError(f"need 1 <= t1 <= t2 <= {T}, got [{t1}, {t2}]")
-    pref_r, pref_a = _prefixes(player_losses, losses)
-    qtau, zeta = tv_prior(T)
-    c_int = float(pref_a[t2, i] - pref_a[t1 - 1, i])
-    ln_inv_q = math.log(N * zeta[t2 - 1]) + 2.0 * math.log(t1)
-    return math.sqrt(c_int * bound_coefficient(ln_inv_q, _certificate_at(pref_a, qtau, zeta, t2, N), N * t2))
+    player_losses, losses = _interval_trace(player_losses, losses, t1, t2, i)
+    pref_a = _prefix(np.abs(player_losses[:, None] - losses))
+    qtau, zeta = tv_prior(losses.shape[0])
+    # math.log, not np.log: the two differ in the last bit at some t1 (9170, for one)
+    bounds = _interval_bounds(pref_a, qtau, zeta, t2, losses.shape[1], slice(t1 - 1, t1), np.array([math.log(t1)]))
+    return float(bounds[0, i])
 
 
 def segments_bound(player_losses, losses, boundaries, experts) -> float:
     """Sum of the interval certificates of a segmented competitor that plays
     experts[j] over rounds boundaries[j] + 1 .. boundaries[j + 1]."""
-    cuts = zip(boundaries[:-1], boundaries[1:])
-    return float(sum(interval_bound(player_losses, losses, a + 1, b, i) for (a, b), i in zip(cuts, experts)))
+    segments = zip(zip(boundaries[:-1], boundaries[1:]), experts, strict=True)
+    return float(sum(interval_bound(player_losses, losses, a + 1, b, i) for (a, b), i in segments))
 
 
 def check_all_interval_bounds(player_losses, losses, rel_tol: float = 1e-9):
     """Verify realized interval regret against its certificate on every
     (t1, t2, expert) triple; returns (checked, failures, worst_margin)."""
-    player_losses, losses = _validate_trace(player_losses, losses)
+    player_losses, losses = check_trace(player_losses, losses)
     T, N = losses.shape
     pref_r, pref_a = _prefixes(player_losses, losses)
     qtau, zeta = tv_prior(T)
     log_t1 = np.log(np.arange(1.0, T + 1.0))
-    checked = 0
     failures = 0
     worst = math.inf
     for t2 in range(1, T + 1):
-        cap = _certificate_at(pref_a, qtau, zeta, t2, N)
-        ln_inv_q = math.log(N * zeta[t2 - 1]) + 2.0 * log_t1[:t2]
-        r_int = pref_r[t2][None, :] - pref_r[0:t2]
-        c_int = pref_a[t2][None, :] - pref_a[0:t2]
-        bound = np.sqrt(c_int * bound_coefficient(ln_inv_q[:, None], cap, N * t2))
-        margin = bound - r_int + rel_tol * np.abs(bound)
-        checked += margin.size
+        bound = _interval_bounds(pref_a, qtau, zeta, t2, N, slice(0, t2), log_t1[:t2])
+        margin = bound - (pref_r[t2][None, :] - pref_r[0:t2]) + rel_tol * np.abs(bound)
         failures += int(np.sum(margin < 0.0))
         worst = min(worst, float(margin.min()))
-    return checked, failures, worst
+    return T * (T + 1) // 2 * N, failures, worst

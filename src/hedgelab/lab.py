@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .potential import check_losses
+from .potential import check_losses, check_trace
 
 __all__ = [
     "STREAM_LOSSES",
@@ -198,12 +198,9 @@ def kshift_oracle(losses, k: int, player_losses=None) -> KShiftResult:
     experts.reverse()
     truncated = None
     if player_losses is not None:
-        player_losses = np.asarray(player_losses, dtype=float)
-        truncated = 0.0
-        for j in range(k):
-            seg = slice(boundaries[j], boundaries[j + 1])
-            gap = losses[seg, experts[j]] - player_losses[seg]
-            truncated += float(np.sum(np.maximum(gap, 0.0)))
+        player_losses, _ = check_trace(player_losses, losses)
+        witness = losses[np.arange(t_len), np.repeat(experts, np.diff(boundaries))]  # its expert's loss per round
+        truncated = float(np.sum(np.maximum(witness - player_losses, 0.0)))
     return KShiftResult(float(dp[k, t_len]), boundaries, experts, truncated)
 
 
@@ -234,12 +231,9 @@ def variation(useq) -> float:
 
 
 def decomposition_value(v) -> float:
-    """Minimum total weight of an interval cover reproducing v: sum of positive jumps."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0.0):
-        raise ValueError("values must be nonnegative")
-    diffs = np.diff(v, prepend=0.0)
-    return float(np.sum(np.maximum(diffs, 0.0)))
+    """Minimum total weight of an interval cover reproducing v: the sum of its
+    positive jumps, which is the variation of v as a one-column sequence."""
+    return variation(np.reshape(v, (-1, 1)))
 
 
 def decomposition_bruteforce(v) -> float:
@@ -271,11 +265,11 @@ def decomposition_bruteforce(v) -> float:
 
 def _competitor_regrets(player_losses, losses, useq) -> tuple[np.ndarray, np.ndarray]:
     """The competitor sequence and the per-round regrets player_loss - loss."""
-    losses = np.asarray(losses, dtype=float)
+    player_losses, losses = check_trace(player_losses, losses)
     useq = np.asarray(useq, dtype=float)
     if useq.shape != losses.shape:
         raise ValueError(f"competitor sequence shape {useq.shape} != losses shape {losses.shape}")
-    return useq, np.asarray(player_losses, dtype=float)[:, None] - losses
+    return useq, player_losses[:, None] - losses
 
 
 def timevarying_regret(player_losses, losses, useq) -> float:
@@ -293,8 +287,7 @@ def tv_bound(player_losses, losses, useq, a_coeff: float) -> float:
 
 def truncated_loss_totals(player_losses, losses) -> np.ndarray:
     """Per-expert totals of [loss - player_loss]_+; never exceeds the raw totals."""
-    player_losses = np.asarray(player_losses, dtype=float)
-    losses = np.asarray(losses, dtype=float)
+    player_losses, losses = check_trace(player_losses, losses)
     return np.sum(np.maximum(losses - player_losses[:, None], 0.0), axis=0)
 
 

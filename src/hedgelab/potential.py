@@ -10,9 +10,9 @@ any valid update sequence, so the potential exponent is at most C/3: linear
 space only overflows past C ~ 2000, far beyond harness scales.
 
 ExpertBank holds the (prior, R, C) rows that the fixed, sleeping and interval
-learners predict, update and certify through; potential_cap, bound_coefficient
-and check_losses are the cap, the bound and the loss check they all share;
-certify_stack certifies saved states and BankCertificates the learners' live rows.
+learners predict, update and certify through; potential_cap, bound_coefficient,
+check_losses and check_trace are the cap, the bound and the loss and trace checks
+they share; certify_stack certifies saved states and BankCertificates the learners' live rows.
 """
 
 from __future__ import annotations
@@ -156,6 +156,15 @@ def check_losses(losses, n: int | None = None) -> np.ndarray:
     if not ((losses >= 0.0) & (losses <= 1.0)).all():
         raise ValueError("losses must lie in [0, 1]")
     return losses
+
+
+def check_trace(player_losses, losses) -> tuple[np.ndarray, np.ndarray]:
+    """A recorded trace as float arrays, rejecting any shapes but (T,) player losses and (T, N) losses."""
+    player_losses = np.asarray(player_losses, dtype=float)
+    losses = np.asarray(losses, dtype=float)
+    if losses.ndim != 2 or player_losses.shape != losses.shape[:1]:
+        raise ValueError(f"trace shapes do not match: {player_losses.shape} player losses, {losses.shape} losses")
+    return player_losses, losses
 
 
 def potential_cap(q: np.ndarray, C: np.ndarray) -> float:

@@ -328,10 +328,6 @@ class TreeLearner:
                 records.append(self.registry.round_records(R[: k + 1], C[: k + 1], sizes[: k + 1]))
         return losses, realized_total, tuple(map(np.concatenate, zip(*records)))
 
-    def terminal_edges(self, pruning: PruningTree) -> list[Edge]:
-        """Edges into the effective leaves of a pruning of the template."""
-        return [(self.tree.parent[nid], nid) for nid in _effective_leaves(self.tree, pruning)]
-
     def pruning_certificate(self, pruning: PruningTree) -> float:
         """m * (regret bound for u uniform over the pruning's terminal edges).
 
@@ -339,7 +335,7 @@ class TreeLearner:
         forecaster's excess loss over the pruning is at most this value.
         Returns +inf if some terminal edge was never traversed.
         """
-        edges = self.terminal_edges(pruning)
+        edges = [(self.tree.parent[nid], nid) for nid in _effective_leaves(self.tree, pruning)]
         m = len(edges)
         u = {edge: 1.0 / m for edge in edges}
         return m * self.registry.regret_bound(u)

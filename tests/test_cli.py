@@ -226,6 +226,26 @@ class TestArgHandling:
         assert run_cli(args + ["--out", str(out)]) == EXIT_OK
         assert json.loads((out / "summary.json").read_text())["config"]["seeds"] == [3]
 
+    @pytest.mark.parametrize("key,flags,overrides", [
+        ("algos", ["--algo", "ada,hedge,ada"], {"algos": ["ada", "ada"]}),
+        ("seeds", ["--seed", "3,3"], {"seed": [3, 3.0]}),
+        ("eps", ["--eps", "0.1,0.1"], {"eps": [0.1, 0.1]}),
+    ])
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_repeated_algo_or_seed_is_bad_config(self, tmp_path, capsys, key, flags, overrides, via):
+        out = tmp_path / "out"
+        args = ["run", "--scenario", "adversarial", "--n", "2", "--t", "5", "--out", str(out)]
+        if via == "flags":
+            args += flags
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(overrides))
+            args += ["--config", str(cfg_path)]
+        assert run_cli(args) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must not repeat") and err.count("\n") == 1, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
     def test_out_that_is_no_directory_is_bad_config(self, tmp_path, capsys, under):
         blocker = tmp_path / "blocker"

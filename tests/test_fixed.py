@@ -214,6 +214,22 @@ class TestRegretBound:
             assert realized <= bound * (1 + REL) + 1e-12
             assert bound <= learner.regret_bound(u) * (1 + REL) + 1e-12
 
+    def test_uniform_subset_counts_repeats_once(self):
+        learner = uniform_learner(4)
+        for _ in range(50):
+            learner.update([0.1, 0.9, 0.5, 0.5])
+        one = learner.regret_bound_uniform_subset([0])
+        assert learner.regret_bound_uniform_subset([0, 0]).hex() == one.hex()
+        assert learner.regret_bound_uniform_subset([0, 0, 0, 0]).hex() == one.hex()
+        assert learner.regret_bound_uniform_subset([2, 0, 2]).hex() == learner.regret_bound_uniform_subset([0, 2]).hex()
+
+    @pytest.mark.parametrize("subset", [[-1], [4], [0, 4]])
+    def test_uniform_subset_index_out_of_range(self, subset):
+        learner = uniform_learner(4)
+        learner.update([0.1, 0.9, 0.5, 0.5])
+        with pytest.raises(ValueError):
+            learner.regret_bound_uniform_subset(subset)
+
 
 class TestRelativeEntropy:
     def test_identical_is_zero(self):

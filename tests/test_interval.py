@@ -3,11 +3,22 @@ import pytest
 
 from hedgelab.interval import (
     TvLearner,
+    _prefixes,
     adaptive_regret,
     check_all_interval_bounds,
     interval_bound,
+    segments_bound,
 )
-from hedgelab.lab import gen_adversarial, gen_shifting, kshift_oracle, play, rng_for
+from hedgelab.lab import (
+    gen_adversarial,
+    gen_shifting,
+    kshift_oracle,
+    play,
+    rng_for,
+    timevarying_regret,
+    truncated_loss_totals,
+    tv_bound,
+)
 from hedgelab.potential import weight
 from hedgelab.sleeping import SleepingRegistry
 
@@ -95,6 +106,15 @@ class TestTvUpdate:
             tv.update([0.5, 1.5])
         with pytest.raises(ValueError):
             tv.update([0.5])
+
+
+    @pytest.mark.parametrize("tau,i", [(2, 3), (2, -1), (0, 0), (4, 0)])
+    def test_copy_outside_the_run_rejected(self, tau, i):
+        tv = TvLearner(3)
+        for _ in range(3):
+            tv.update([0.1, 0.5, 0.9])
+        with pytest.raises(ValueError):
+            tv.copy_state(tau, i)
 
 
 class TestSleepingEquivalence:
@@ -223,3 +243,56 @@ class TestShiftingRegret:
         realized = float(rec.cum_player[-1] - oracle.loss)
         # the designed gap is large: per-round excess must shrink well below it
         assert realized / trace.T < 0.4 / 2
+
+
+def _tv_trace(n=3, t_len=40, seed=4):
+    trace = gen_shifting(n, t_len, 2, 0.3, 0.2, seed=seed)
+    return play(TvLearner(n), trace.losses).player_losses, trace.losses
+
+
+class TestOneCertificateFormula:
+    def test_batch_worst_margin_is_the_scalar_bound(self):
+        pl, losses = _tv_trace()
+        pref_r, _ = _prefixes(pl, losses)
+        worst = min(
+            interval_bound(pl, losses, t1, t2, i) - (pref_r[t2, i] - pref_r[t1 - 1, i])
+            for t2 in range(1, 41)
+            for t1 in range(1, t2 + 1)
+            for i in range(3)
+        )
+        checked, failures, batch_worst = check_all_interval_bounds(pl, losses, rel_tol=0.0)
+        assert (checked, failures) == (40 * 41 // 2 * 3, 0)
+        assert batch_worst.hex() == worst.hex()
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_interval_bound_expert_out_of_range(self, i):
+        pl, losses = _tv_trace()
+        with pytest.raises(ValueError):
+            interval_bound(pl, losses, 5, 20, i)
+
+    @pytest.mark.parametrize("experts", [[0], [0, 1, 2]])
+    def test_segments_bound_needs_one_expert_per_segment(self, experts):
+        pl, losses = _tv_trace()
+        with pytest.raises(ValueError):
+            segments_bound(pl, losses, [0, 20, 40], experts)
+
+
+TRACE_FUNCTIONS = {
+    "adaptive_regret": lambda pl, losses: adaptive_regret(pl, losses, 1, 1, 0),
+    "interval_bound": lambda pl, losses: interval_bound(pl, losses, 1, 1, 0),
+    "segments_bound": lambda pl, losses: segments_bound(pl, losses, [0, 1], [0]),
+    "check_all_interval_bounds": check_all_interval_bounds,
+    "timevarying_regret": lambda pl, losses: timevarying_regret(pl, losses, np.ones_like(losses)),
+    "tv_bound": lambda pl, losses: tv_bound(pl, losses, np.ones_like(losses), 3.0),
+    "truncated_loss_totals": truncated_loss_totals,
+    "kshift_oracle": lambda pl, losses: kshift_oracle(losses, 1, pl),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_FUNCTIONS))
+@pytest.mark.parametrize("length", [1, 39])
+def test_player_losses_of_another_length_rejected(name, length):
+    pl, losses = _tv_trace()
+    TRACE_FUNCTIONS[name](pl, losses)  # the matching trace is accepted
+    with pytest.raises(ValueError):
+        TRACE_FUNCTIONS[name](pl[:length], losses)
