@@ -272,9 +272,10 @@ def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
         summary["final_potential_sum"] = float(pots[-1])
         summary["final_certificate_B"] = float(certs[-1])
         summary["final_bound_eq1"] = float(bounds[-1])
-        if count_violations(regret_best[-1], bounds[-1]):
+        bound_violations = count_violations(regret_best, bounds)  # an anytime bound: every round counts
+        if bound_violations:
             summary["bound_violation"] = True
-            violations += 1
+            violations += bound_violations
     columns = [rec.player_losses, cum_p, regret_best, regret_quant, pots, certs, bounds]
     _write_trace(Path(out_dir) / f"trace_{algo}_seed{seed}.csv", algo, columns)
     if cfg["scenario"] == "stochastic":
@@ -305,7 +306,7 @@ def _tree_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
     learner = TreeLearner(tree)
     losses, realized_total, (best_r, pots, certs, bounds) = learner.play_rounds(rounds, RECORD_BLOCK)
     cum_loss = np.cumsum(losses)
-    violations = count_violations(pots, certs)
+    violations = count_violations(pots, certs) + count_violations(best_r, bounds)
     columns = [losses, cum_loss, best_r, None, pots, certs, bounds]
     _write_trace(Path(out_dir) / f"trace_{algo}_seed{seed}.csv", algo, columns)
 

@@ -80,6 +80,7 @@ class FixedLearner(BankCertificates):
     @R.setter
     def R(self, value) -> None:
         self._bank.R[:] = value
+        self._bank.drop_index()
 
     @property
     def C(self) -> np.ndarray:
@@ -88,6 +89,7 @@ class FixedLearner(BankCertificates):
     @C.setter
     def C(self, value) -> None:
         self._bank.C[:] = value
+        self._bank.drop_index()
 
     def predict(self) -> np.ndarray:
         """Distribution over experts: p_i proportional to q_i * weight(R_i, C_i).

@@ -10,12 +10,19 @@ bounds shifting regret against the best segmented competitor.
 The copies are rows of the expert bank that SleepingRegistry also uses, in
 birth order (row (tau-1)*N + i holds the copy of expert i born at tau), and
 every copy's (R, C) is updated every round: O(N*t) time per round and O(N*T)
-memory, so harness runs cap T around 20k.  Only the live copies (R > -1)
-cost an exp per round, because every other copy's weight is exactly zero:
-94% of the copies are dead at the end of a 1500-round shifting run with
-N=10, 57% after 1500 i.i.d. uniform rounds.  Because the learner shares the
-bank, driving a registry with birth-scheduled ids reproduces its outputs bit
-for bit.
+memory, so harness runs cap T around 20k.  A round (update, then certify)
+costs about a dozen passes over the N*t rows: the losses repeated over the
+copies, the player loss as one dot, the sum of the unnormalized weights, the
+(R, C) update, one scan for the bank's liveness index, and for the
+certificate 1 + ln(1 + C) of every copy and three full-length reductions.
+It allocates no array of that length, but the potentials when more than a
+quarter of the copies have R > 0.  Only the live copies (R > -1) cost an exp,
+gathered through that index, because every other copy's weight is exactly
+zero: 94% of the copies are dead at the end of a 1500-round shifting run with
+N=10, 57% after 1500 i.i.d. uniform rounds.  The index may list dead copies
+too, never miss a live one: a weight evaluated where it is zero is zero bit
+for bit.  Because the learner shares the bank, driving a registry with
+birth-scheduled ids reproduces its outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ class TvLearner(BankCertificates):
         n copies born at that round (prior 1/t^2) on first use."""
         t = self.t + 1
         if self._bank.q.size < t * self.n:
-            self._bank.add(np.full(self.n, 1.0 / t**2))
+            self._bank.add([1.0 / t**2] * self.n)
         return slice(0, t * self.n)
 
     def predict(self) -> np.ndarray:
@@ -79,7 +86,7 @@ class TvLearner(BankCertificates):
         """Consume one round of base-expert losses, return the player loss."""
         losses = check_losses(losses, self.n)
         rows = self._spawn()
-        player_loss = self._bank.update(np.tile(losses, self.t + 1), rows)
+        player_loss = self._bank.update(losses, rows)  # every copy plays its expert's loss
         self.t += 1
         return player_loss
 

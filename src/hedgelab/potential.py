@@ -130,21 +130,24 @@ def _phi(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.exp(expo, out=expo)
 
 
-def _weight(R: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """weight_arr without conversions, by in-place buffer arithmetic; the
-    interval learner calls it on its live copies (R > -1) every round."""
-    denom = 3.0 * (C + 1.0)
-    a = np.maximum(R + 1.0, 0.0)
-    np.multiply(a, a, out=a)
-    np.divide(a, denom, out=a)
-    np.exp(a, out=a)
-    b = np.maximum(R - 1.0, 0.0)
-    np.multiply(b, b, out=b)
-    np.divide(b, denom, out=b)
-    np.exp(b, out=b)
-    np.subtract(a, b, out=a)
+def _weight(R: np.ndarray, C: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """weight_arr without conversions, by in-place buffer arithmetic on R + 1
+    and R - 1 stacked; the interval learner calls it on its live copies
+    (R > -1) every round.  work, when given, is a contiguous (3, R.size)
+    buffer to compute in, whose row 1 receives the weights."""
+    ab = np.add.outer(_SHIFTS, R, out=None if work is None else work[1:])  # R + (-1) is R - 1 bit for bit
+    denom = np.add(C, 1.0, out=None if work is None else work[0])
+    denom *= 3.0
+    np.maximum(ab, 0.0, out=ab)
+    np.multiply(ab, ab, out=ab)
+    np.divide(ab, denom, out=ab)
+    np.exp(ab, out=ab)
+    a = np.subtract(ab[0], ab[1], out=ab[0])
     a *= 0.5
     return a
+
+
+_SHIFTS = np.array([1.0, -1.0])
 
 
 def check_losses(losses, n: int | None = None) -> np.ndarray:
@@ -192,7 +195,12 @@ def bound_coefficient(ln_inv_q, cap, n=None):
 # Evaluating fn on a gathered subset costs a few microseconds plus about
 # 20 ns a gathered entry, against about 10 ns an entry for evaluating them all
 # (weight_arr, 2-vCPU Xeon): gathering pays on large arrays whose entries
-# mostly need no evaluation, such as the interval learner's copies.
+# mostly need no evaluation, such as the interval learner's copies.  Here a
+# gather costs a scan for the entries first.  An ExpertBank skips the scan in
+# calls on all its rows: its liveness index, made by one scan per update,
+# lists the rows that may have R > -1.  The index may over-approximate but
+# never miss a live row, since fn evaluated where it is constant gives that
+# constant bit for bit.
 _GATHER_MIN_SIZE = 2048
 
 
@@ -202,7 +210,7 @@ def _evaluate_where(fn, R, C, edge: float, constant: float) -> np.ndarray:
     On a large array with at most a quarter of its entries above the edge,
     fn runs on those entries only and the constant fills the rest; either
     way the result is the same bit for bit, so sums over it keep their order
-    and value.
+    and value.  The scan here is what an ExpertBank's liveness index saves.
     """
     if R.size >= _GATHER_MIN_SIZE:
         idx = np.flatnonzero(R > edge)
@@ -211,6 +219,12 @@ def _evaluate_where(fn, R, C, edge: float, constant: float) -> np.ndarray:
             out[idx] = fn(R.ravel()[idx], C.ravel()[idx])
             return out.reshape(R.shape)
     return fn(R, C)
+
+
+def _certificate(q: np.ndarray, phi: np.ndarray, log_c: np.ndarray, q_sum):
+    """The potential sum q . phi / q_sum and its cap of one state with potentials
+    phi and log_c = 1 + ln(1 + C), each by one full-length np.dot."""
+    return np.dot(q, phi) / q_sum, _cap(q, log_c, q_sum)
 
 
 def certify_stack(q: np.ndarray, R: np.ndarray, C: np.ndarray, sizes) -> np.ndarray:
@@ -226,8 +240,7 @@ def certify_stack(q: np.ndarray, R: np.ndarray, C: np.ndarray, sizes) -> np.ndar
     for k, n in enumerate(sizes):
         if n != last:  # a bank only grows, so along a run q is summed once per size
             q_sum, last = q[:n].sum(), n
-        pot, cap = (np.dot(q[:n], phi[k, :n]) / q_sum, _cap(q[:n], log_c[k, :n], q_sum)) if n else (1.0, 2.5)
-        out[:, k] = pot, cap, q_sum
+        out[:, k] = (*_certificate(q[:n], phi[k, :n], log_c[k, :n], q_sum), q_sum) if n else (1.0, 2.5, q_sum)
     return out
 
 
@@ -237,27 +250,97 @@ class ExpertBank:
 
     `rows` selects the experts a call acts on: a slice for a contiguous
     block (all by default), an ascending int array for an awake set.
+
+    Calls on every row without confidences, as the fixed and interval
+    learners make, allocate nothing bank-sized: they compute in the same
+    buffer, in the distribution s of a gathered round (a row that is 0
+    outside the rows it gathers, and everywhere between calls) and in a
+    contiguous (3, m) work block (weights, losses and regrets, potentials,
+    1 + ln(1 + C)).  They gather the weights and potentials on the bank's
+    liveness index, the ascending rows that may have R > -1, instead of
+    scanning for them: each such update recomputes it by one scan, and add()
+    extends it with the newborn rows.  It may over-approximate but never
+    miss a live row, and gathering more rows than needed changes no bit:
+    weight is exactly 0 where R <= -1 and the potential exactly 1 where
+    R <= 0.  Updates on other rows drop the index, and so must a write to R
+    from outside (drop_index); the calls then scan, as on other rows.
     """
+
+    _ROWS = 7  # q, R, C, s, then three rows of room for the work block
 
     def __init__(self, params: PotentialParams | None = None, capacity: int = 0):
         self.params = params if params is not None else PotentialParams()
-        self._buf = np.zeros((3, capacity))
-        self.q, self.R, self.C = self._buf[:, :0]
+        self._grow(capacity)
+        self.q, self.R, self.C, self._s = self._buf[:4, :0]
+        self._live = np.zeros(0, dtype=np.intp)  # the liveness index; None when unknown
+
+    def _grow(self, capacity: int) -> None:
+        self._buf = np.empty((self._ROWS, capacity))  # written before read: unused capacity stays untouched
+        self._work = self._buf[4:].reshape(-1)  # room for the (3, m) work block
 
     def add(self, priors) -> None:
         """Register one fresh row (R = C = 0) per prior weight, in order."""
         priors = np.asarray(priors, dtype=float)
         start, end = self.q.size, self.q.size + priors.size
         if end > self._buf.shape[1]:
-            buf = np.zeros((3, max(end, 2 * self._buf.shape[1])))
-            buf[:, :start] = self._buf[:, :start]
-            self._buf = buf
-        self._buf[0, start:end] = priors
-        self.q, self.R, self.C = self._buf[:, :end]
+            old = self._buf
+            self._grow(max(end, 2 * old.shape[1]))
+            self._buf[:4, :start] = old[:4, :start]
+        buf = self._buf
+        buf[0, start:end] = priors
+        buf[1:4, start:end] = 0.0  # R, C and s
+        self.q, self.R, self.C, self._s = buf[0, :end], buf[1, :end], buf[2, :end], buf[3, :end]
+        if self._live is not None:
+            self._live = np.concatenate((self._live, np.arange(start, end)))
+
+    def drop_index(self) -> None:
+        """Forget the liveness index, after a write to R from outside the bank."""
+        self._live = None
+
+    def _whole(self, rows, conf) -> bool:
+        """Whether a call acts on every row, without confidences."""
+        return conf is None and isinstance(rows, slice) and rows.indices(self.q.size) == (0, self.q.size, 1)
+
+    def _gather_rows(self, edge: float) -> np.ndarray | None:
+        """The ascending rows that hold every R > edge (edge >= -1), when they
+        are few enough to gather; else None."""
+        m, live = self.q.size, self._live
+        if m < _GATHER_MIN_SIZE:
+            return None
+        if live is None or (edge > -1.0 and 4 * live.size > m):  # too many live rows, but maybe few with R > 0
+            live = (self.R > edge).nonzero()[0]
+        return live if 4 * live.size <= m else None
+
+    def _distribution(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """predict() on every row, in s or in row 1 of the work block, and the
+        rows of s to clear once it has been used (None for none)."""
+        q, R, C, s, m = self.q, self.R, self.C, self._s, self.q.size
+        live = self._gather_rows(-1.0)  # weight is exactly 0 for R <= -1
+        if live is None:
+            p = _weight(R, C, self._work[: 3 * m].reshape(3, m))
+            np.multiply(q, p, out=p)
+        else:
+            p = s
+            s_live = q[live] * _weight(R[live], C[live])
+            p[live] = s_live
+        total = p.sum()
+        if total <= 0.0:
+            return np.divide(q, q.sum(), out=self._work[m : 2 * m]), live
+        if live is None:
+            p /= total
+        else:
+            p[live] = s_live / total
+        return p, live
 
     def predict(self, rows=slice(None), conf=None) -> np.ndarray:
         """p proportional to q * conf * weight(R, C) over the rows; when every
         such weight is zero, proportional to q * conf."""
+        if self._whole(rows, conf):
+            p, live = self._distribution()
+            p = p.copy()
+            if live is not None:
+                self._s[live] = 0.0
+            return p
         q = self.q[rows] if conf is None else self.q[rows] * conf
         # weight is exactly 0 for R <= -1
         s = q * _evaluate_where(_weight, self.R[rows], self.C[rows], -1.0, 0.0)
@@ -268,14 +351,34 @@ class ExpertBank:
 
     def update(self, losses: np.ndarray, rows=slice(None), conf=None, p=None) -> float:
         """Charge the rows their (confidence-scaled) regret to the player loss
-        p . losses, and return that player loss; losses must be checked.
+        p . losses, and return that player loss; losses must be checked.  When
+        the rows are every row, losses may also be a block repeated over them
+        (the interval learner's copies play their expert's loss).
         p, when given, is predict(rows, conf) already computed on this state."""
+        if not self._whole(rows, conf):
+            self._live = None
+            if p is None:
+                p = self.predict(rows, conf)
+            player_loss = float(np.dot(p, losses))
+            r = player_loss - losses if conf is None else conf * (player_loss - losses)
+            self.R[rows] += r
+            self.C[rows] += self.params.increment(r)
+            return player_loss
+        live = None
         if p is None:
-            p = self.predict(rows, conf)
+            p, live = self._distribution()
+        r = self._work[: self.q.size]  # row 0 of the work block, clear of the weights
+        if losses.size != r.size:  # np.tile(losses, r.size // losses.size) by one broadcast copy
+            r.reshape(-1, losses.size)[:] = losses
+            losses = r
         player_loss = float(np.dot(p, losses))
-        r = player_loss - losses if conf is None else conf * (player_loss - losses)
-        self.R[rows] += r
-        self.C[rows] += self.params.increment(r)
+        if live is not None:
+            self._s[live] = 0.0
+        np.subtract(player_loss, losses, out=r)
+        self.R += r
+        self.C += np.abs(r, out=r) if self.params.d == 1.0 else self.params.increment(r)
+        if self.q.size >= _GATHER_MIN_SIZE:
+            self._live = (self.R > -1.0).nonzero()[0]
         return player_loss
 
     def certify(self, rows=slice(None)) -> tuple[float, float]:
@@ -286,8 +389,24 @@ class ExpertBank:
 
     def _certify(self, rows) -> tuple[float, float]:
         q = self.q[rows]
-        pots, caps, _ = certify_stack(q, self.R[rows][None], self.C[rows][None], (q.size,))
-        return float(pots[0]), float(caps[0])
+        if q.size == 0:
+            return 1.0, 2.5
+        if not self._whole(rows, None):
+            R, C = self.R[rows], self.C[rows]
+            phi, log_c = _evaluate_where(_phi, R, C, 0.0, 1.0), 1.0 + np.log1p(C)
+        else:
+            R, C, m = self.R, self.C, self.q.size
+            live = self._gather_rows(0.0)  # phi is exactly 1 for R <= 0
+            if live is None:
+                phi = _phi(R, C)
+            else:
+                phi = self._work[:m]
+                phi.fill(1.0)
+                phi[live] = _phi(R[live], C[live])
+            log_c = np.log1p(C, out=self._work[m : 2 * m])
+            log_c += 1.0
+        pot, cap = _certificate(q, phi, log_c, q.sum())
+        return float(pot), float(cap)
 
     def potential_sum(self, rows=slice(None)) -> float:
         """Potential sum over the rows, with the prior normalized over them."""

@@ -533,6 +533,50 @@ class TestRunOutputs:
         assert code == EXIT_BAD_CONFIG
 
 
+class TestAnytimeBound:
+    """bound_eq1 bounds regret_best at every round: a bound that dips below the
+    regret in one middle round only is a violation (exit 3)."""
+
+    def _middle_dip(self, trace_path, regret_col, bound_col):
+        rows = [line.split(",") for line in trace_path.read_text().splitlines()[1:]]
+        return len(rows) // 2, [float(row[regret_col]) for row in rows], [float(row[bound_col]) for row in rows]
+
+    @pytest.mark.parametrize("algo", ["ada", "tv"])
+    def test_expert_task_checks_every_round(self, tmp_path, monkeypatch, algo):
+        args = ["run", "--scenario", "adversarial", "--algo", algo, "--n", "4", "--t", "120", "--seed", "3"]
+        assert run_cli(args + ["--out", str(tmp_path / "a")]) == EXIT_OK
+        mid, regret, bound = self._middle_dip(tmp_path / "a" / f"trace_{algo}_seed3.csv", 4, 8)
+        assert regret[mid] > 0.0 and regret[-1] < bound[-1]  # a zero bound at mid dips below the regret there only
+        real = cli.bound_coefficient
+
+        def dip(ln_inv_q, cap, n=None):
+            coefficient = np.array(real(ln_inv_q, cap, n), dtype=float)
+            coefficient[mid] = 0.0
+            return coefficient
+
+        monkeypatch.setattr(cli, "bound_coefficient", dip)
+        assert run_cli(args + ["--out", str(tmp_path / "b")]) == cli.EXIT_CERTIFICATE_VIOLATION
+        result = json.loads((tmp_path / "b" / "summary.json").read_text())["results"][0]
+        assert result["bound_violation"] is True
+        assert result["certificate_violations"] > 0
+
+    def test_tree_task_checks_every_round(self, tmp_path, monkeypatch, tree_fixture):
+        tree_path, data_path = tree_fixture
+        args = ["run", "--scenario", "tree", "--algo", "ada", "--tree", str(tree_path), "--data", str(data_path)]
+        real = cli.TreeLearner.play_rounds
+
+        def dip(self, rounds, block):
+            losses, realized_total, (best_r, pots, certs, bounds) = real(self, rounds, block)
+            bounds = bounds.copy()
+            bounds[len(bounds) // 2] = best_r[len(bounds) // 2] - 1.0
+            return losses, realized_total, (best_r, pots, certs, bounds)
+
+        monkeypatch.setattr(cli.TreeLearner, "play_rounds", dip)
+        assert run_cli(args + ["--out", str(tmp_path)]) == cli.EXIT_CERTIFICATE_VIOLATION
+        result = json.loads((tmp_path / "summary.json").read_text())["results"][0]
+        assert result["certificate_violations"] > 0
+
+
 class TestFailedTasks:
     ARGS = ["run", "--scenario", "adversarial", "--algo", "ada,hedge", "--n", "3", "--t", "20", "--seeds", "2"]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hedgelab.fixed import FixedLearner, relative_entropy
 from hedgelab.lab import gen_adversarial, play, rng_for
-from hedgelab.potential import PotentialParams, weight
+from hedgelab.potential import PotentialParams, phi_arr, potential_cap, weight, weight_arr
 
 REL = 1e-9
 
@@ -249,3 +249,27 @@ class TestRelativeEntropy:
         u = rng.dirichlet(np.ones(n))
         q = rng.dirichlet(np.ones(n))
         assert relative_entropy(u, q) >= -1e-12
+
+
+class TestLivenessIndex:
+    def test_row_revived_by_the_setter_counts(self):
+        # 64 of 2048 experts stay live, so predict and certify gather on the bank's
+        # liveness index; the R setter must drop it, or the revived row is missed,
+        # and a gathered predict must clear its scratch row, or the killed row counts
+        n = 2048
+        rng = np.random.default_rng(5)
+        learner = FixedLearner(np.ones(n))
+        for _ in range(12):
+            losses = rng.uniform(0.5, 1.0, n)
+            losses[:64] = 0.0
+            learner.update(losses)
+        assert 4 * np.count_nonzero(learner.R > -1.0) <= n
+        learner.predict()
+        R = learner.R.copy()
+        R[int(np.flatnonzero(R <= -1.0)[0])] = 5.0
+        R[0] = -3.0
+        learner.R = R
+        q, C = learner.q, learner.C
+        s = q * weight_arr(R, C)
+        np.testing.assert_array_equal(learner.predict(), s / s.sum())
+        assert learner.certify() == (float(np.dot(q, phi_arr(R, C)) / q.sum()), potential_cap(q, C))

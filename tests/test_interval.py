@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hedgelab import potential
 from hedgelab.interval import (
     TvLearner,
     _prefixes,
@@ -296,3 +297,39 @@ def test_player_losses_of_another_length_rejected(name, length):
     TRACE_FUNCTIONS[name](pl, losses)  # the matching trace is accepted
     with pytest.raises(ValueError):
         TRACE_FUNCTIONS[name](pl[:length], losses)
+
+
+class TestLivenessIndex:
+    """tv rounds that gather the weights and potentials on the bank's liveness
+    index give the same bits as rounds that evaluate every copy."""
+
+    @staticmethod
+    def _losses(n=10, t_len=700):
+        # i.i.d. rounds keep many copies live; then expert 0 wins every round and the
+        # other copies die; then i.i.d. rounds again, where newborn copies stay live
+        rng = np.random.default_rng(11)
+        losses = rng.uniform(0.0, 1.0, (t_len, n))
+        losses[250:450] = rng.uniform(0.5, 1.0, (200, n))
+        losses[250:450, 0] = 0.0
+        return losses
+
+    @staticmethod
+    def _play(losses):
+        learner = TvLearner(losses.shape[1])
+        records, shares = [], []
+        for lvec in losses:
+            player_loss = learner.update(lvec)
+            records.append((player_loss, *learner.certify()))
+            R = learner._bank.R
+            shares.append((R.size, np.count_nonzero(R > -1.0) / R.size))
+        return np.array(records), shares
+
+    def test_gathered_rounds_match_dense_rounds(self, monkeypatch):
+        losses = self._losses()
+        gathered, shares = self._play(losses)
+        above = [share > 0.25 for size, share in shares if size >= potential._GATHER_MIN_SIZE]
+        crossings = [a for a, b in zip(above, above[1:]) if a != b]
+        assert crossings[:2] == [True, False], "the live share must cross 1/4 downward, then upward"
+        monkeypatch.setattr(potential, "_GATHER_MIN_SIZE", 10**9)  # no index: every round is dense
+        dense, _ = self._play(losses)
+        assert gathered.tobytes() == dense.tobytes()
