@@ -5,8 +5,7 @@
 
 BASE_SRC and NEW_SRC are `src/` directories (for example of a checkout of
 the parent commit and of the working tree).  Each config of a fixed matrix
-runs once against each tree, in a fresh interpreter with ANH_THREADS=1 and
-OPENBLAS_NUM_THREADS=1, since output bytes depend on the BLAS thread count.
+runs once against each tree, in a fresh interpreter with ANH_THREADS=1.
 The matrix covers the tree scenario with squared and absolute loss, the
 adversarial, stochastic and shifting scenarios with ada, dt, hedge and tv, and
 one shifting run whose --config file overrides its flags with the singular
@@ -72,7 +71,7 @@ def matrix(work: Path) -> dict[str, list[str]]:
 
 
 def _env(src: Path) -> dict[str, str]:
-    return {**os.environ, "PYTHONPATH": str(src), "ANH_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    return {**os.environ, "PYTHONPATH": str(src), "ANH_THREADS": "1"}
 
 
 def run_config(src: Path, args: list[str], out: Path) -> int:

@@ -12,9 +12,8 @@ dict that validate_config casts once; ALGORITHMS is the one table of what a run
 knows of an algorithm; learners, bounds and the violation rule live elsewhere.
 
 Runs are deterministic: the same config and seeds produce byte-identical
-outputs at a fixed OpenBLAS thread count.  Seeds x algorithms fan out to a
-process pool capped by the ANH_THREADS environment variable (default: one
-process per CPU).
+outputs.  Seeds x algorithms fan out to a process pool capped by the
+ANH_THREADS environment variable (default: one process per CPU).
 
 Exit codes: 0 ok; 1 a selfcheck row failed, or a run task raised (each
 failed task is named on stderr and listed under "failed_tasks" in

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .potential import BankCertificates, ExpertBank, PotentialParams, bound_coefficient, check_losses
+from .potential import BankCertificates, ExpertBank, PotentialParams, bound_coefficient, check_losses, dot
 
 __all__ = ["FixedLearner", "relative_entropy", "competitor_bound"]
 
@@ -131,4 +131,4 @@ class FixedLearner(BankCertificates):
         return self._regret_bound(u, None)
 
     def _regret_bound(self, u: np.ndarray, n: int | None) -> float:
-        return competitor_bound(u, self.q, float(np.dot(u, self.C)), self.certificate(), n)
+        return competitor_bound(u, self.q, dot(u, self.C), self.certificate(), n)

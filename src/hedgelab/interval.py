@@ -12,9 +12,10 @@ birth order (row (tau-1)*N + i holds the copy of expert i born at tau), and
 every copy's (R, C) is updated every round: O(N*t) time per round and O(N*T)
 memory, so harness runs cap T around 20k.  A round (update, then certify)
 costs about a dozen passes over the N*t rows: the losses repeated over the
-copies, the player loss as one dot, the sum of the unnormalized weights, the
-(R, C) update, one scan for the bank's liveness index, and for the
-certificate 1 + ln(1 + C) of every copy and three full-length reductions.
+copies, the player loss by potential.dot, the sum of the unnormalized
+weights, the (R, C) update, one scan for the bank's liveness index, and for
+the certificate 1 + ln(1 + C) of every copy, the prior sum and two more
+potential.dot calls, whose bits do not depend on the BLAS thread count.
 It allocates no array of that length, but the potentials when more than a
 quarter of the copies have R > 0.  Only the live copies (R > -1) cost an exp,
 gathered through that index, because every other copy's weight is exactly

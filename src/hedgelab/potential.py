@@ -12,7 +12,8 @@ space only overflows past C ~ 2000, far beyond harness scales.
 ExpertBank holds the (prior, R, C) rows that the fixed, sleeping and interval
 learners predict, update and certify through; potential_cap, bound_coefficient,
 check_losses and check_trace are the cap, the bound and the loss and trace checks
-they share; certify_stack certifies saved states and BankCertificates the learners' live rows.
+they share, dot their one dot product of bank length; certify_stack certifies
+saved states and BankCertificates the learners' live rows.
 """
 
 from __future__ import annotations
@@ -156,7 +157,8 @@ def check_losses(losses, n: int | None = None) -> np.ndarray:
     losses = np.asarray(losses, dtype=float)
     if n is not None and losses.shape != (n,):
         raise ValueError(f"losses must have shape ({n},)")
-    if not ((losses >= 0.0) & (losses <= 1.0)).all():
+    # the min and max over every entry are NaN when an entry is, and NaN compares false
+    if losses.size and not (np.minimum.reduce(losses, axis=None) >= 0.0 and np.maximum.reduce(losses, axis=None) <= 1.0):
         raise ValueError("losses must lie in [0, 1]")
     return losses
 
@@ -178,7 +180,28 @@ def potential_cap(q: np.ndarray, C: np.ndarray) -> float:
 
 def _cap(q: np.ndarray, log_c: np.ndarray, q_sum) -> float:
     """potential_cap from log_c = 1 + ln(1 + C) and q_sum = q.sum()."""
-    return 1.0 + 1.5 * float(np.dot(q, log_c) / q_sum)
+    return 1.0 + 1.5 * float(dot(q, log_c) / q_sum)
+
+
+# OpenBLAS splits a ddot longer than this over its threads, and each thread
+# count rounds it differently.
+_DOT_SERIAL_MAX = 10_000
+_DOT_CHUNK = 8192
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two float vectors, with the same bits at every BLAS thread count.
+
+    Up to OpenBLAS's threading threshold of 10,000 elements this is numpy's
+    dot, bit for bit; above it, the sum in order of the dots of consecutive
+    chunks of 8,192 elements.  Every dot that can be as long as an ExpertBank
+    goes through it; it allocates nothing of that length."""
+    if a.size <= _DOT_SERIAL_MAX:
+        return float(np.dot(a, b))
+    total = 0.0
+    for i in range(0, a.size, _DOT_CHUNK):
+        total += dot(a[i : i + _DOT_CHUNK], b[i : i + _DOT_CHUNK])
+    return total
 
 
 def bound_coefficient(ln_inv_q, cap, n=None):
@@ -223,15 +246,15 @@ def _evaluate_where(fn, R, C, edge: float, constant: float) -> np.ndarray:
 
 def _certificate(q: np.ndarray, phi: np.ndarray, log_c: np.ndarray, q_sum):
     """The potential sum q . phi / q_sum and its cap of one state with potentials
-    phi and log_c = 1 + ln(1 + C), each by one full-length np.dot."""
-    return np.dot(q, phi) / q_sum, _cap(q, log_c, q_sum)
+    phi and log_c = 1 + ln(1 + C), each by one full-length dot()."""
+    return dot(q, phi) / q_sum, _cap(q, log_c, q_sum)
 
 
 def certify_stack(q: np.ndarray, R: np.ndarray, C: np.ndarray, sizes) -> np.ndarray:
     """The potential sums, caps and prior sums q[:n].sum() of a stack of states,
     as the rows of a (3, len(sizes)) array: row k of R and C is a state of the
     first n = sizes[k] bank rows (later entries must be reachable, as zeros are).
-    Each equals certify() in its state bit for bit by its own np.dot; one gemv
+    Each equals certify() in its state bit for bit by its own dot(); one gemv
     over the stack rounds differently."""
     phi = _evaluate_where(_phi, R, C, 0.0, 1.0)  # phi is exactly 1 for R <= 0
     log_c = 1.0 + np.log1p(C)
@@ -359,7 +382,7 @@ class ExpertBank:
             self._live = None
             if p is None:
                 p = self.predict(rows, conf)
-            player_loss = float(np.dot(p, losses))
+            player_loss = dot(p, losses)
             r = player_loss - losses if conf is None else conf * (player_loss - losses)
             self.R[rows] += r
             self.C[rows] += self.params.increment(r)
@@ -371,7 +394,7 @@ class ExpertBank:
         if losses.size != r.size:  # np.tile(losses, r.size // losses.size) by one broadcast copy
             r.reshape(-1, losses.size)[:] = losses
             losses = r
-        player_loss = float(np.dot(p, losses))
+        player_loss = dot(p, losses)
         if live is not None:
             self._s[live] = 0.0
         np.subtract(player_loss, losses, out=r)

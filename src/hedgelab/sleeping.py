@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .fixed import competitor_bound
-from .potential import BankCertificates, ExpertBank, ExpertState, bound_coefficient, certify_stack, check_losses
+from .potential import BankCertificates, ExpertBank, ExpertState, bound_coefficient, certify_stack, check_losses, dot
 
 __all__ = ["ExpertId", "ConfidenceRound", "SleepingRegistry"]
 
@@ -180,5 +180,5 @@ class SleepingRegistry(BankCertificates):
         # The relative entropy sums over the support only, in ascending row
         # order; the other rows carry no mass.
         support = np.flatnonzero(uvec)
-        q, c_u = self._bank.q, float(np.dot(uvec, self._bank.C))
+        q, c_u = self._bank.q, dot(uvec, self._bank.C)
         return competitor_bound(uvec[support], q[support] / q.sum(), c_u, self.certificate(), self.seen_count)

@@ -259,6 +259,7 @@ def test_criterion_6_shifting_recovery():
     assert np.all(r_tv <= 2.0 * cert + 1e-9), (r_tv, cert)
     assert r_tv.mean() <= 0.2 * r_hedge.mean(), (r_tv.mean(), r_hedge.mean())
     assert elapsed < 720.0
+    assert elapsed < 150.0
     print(
         f"\nCRITERION 6: PASS - mean shifting regret {r_tv.mean():.1f} vs hedge "
         f"{r_hedge.mean():.1f} (ratio {r_tv.mean() / r_hedge.mean():.3f}); per-seed regret "

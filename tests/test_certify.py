@@ -161,6 +161,26 @@ class TestRoundRecords:
             assert q_sums[k] == qk.sum()
 
 
+def test_certify_stack_equals_certify_past_ten_thousand_rows():
+    """certify_stack and certify() take the same dots, also where they are
+    chunked: TvLearner(10) states of 9,990 to 10,030 copies."""
+    tv = TvLearner(10)
+    losses = gen_adversarial(10, 1003, 5).losses
+    states, expected = [], []
+    for t, row in enumerate(losses):
+        tv.update(row)
+        if t >= 998:
+            states.append((tv._bank.R.copy(), tv._bank.C.copy()))
+            expected.append(tv.certify())
+    sizes = np.array([r.size for r, _ in states])
+    assert sizes[0] < 10_000 < sizes[-1]
+    R, C = np.zeros((2, len(states), sizes.max()))
+    for k, (r, c) in enumerate(states):
+        R[k, : r.size], C[k, : c.size] = r, c
+    pots, caps, _ = certify_stack(tv._bank.q, R, C, sizes)
+    assert list(zip(pots.tolist(), caps.tolist())) == expected
+
+
 def hit_the_favourite(t, p):
     """Adaptive adversary: loss 1 on the expert with the largest weight (the
     first among ties), 0 on the rest."""

@@ -649,6 +649,25 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestBlasThreadCount:
+    def test_outputs_equal_under_one_and_two_blas_threads(self, tmp_path):
+        """A tv run past 10,000 copies (N * t = 21,000) writes the same bytes
+        whether OpenBLAS may use 1 thread or 2."""
+        args = ["run", "--scenario", "shifting", "--algo", "tv,ada,hedge", "--n", "10", "--t", "2100", "--k", "5",
+                "--alpha", "0.2", "--mu", "0.3", "--seed", "0"]
+        src = str(Path(hedgelab.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = {**os.environ, "PYTHONPATH": src, "ANH_THREADS": "1", "OPENBLAS_NUM_THREADS": threads}
+            cmd = [sys.executable, "-m", "hedgelab", *args, "--out", str(out)]
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outs[0]) == ["summary.json", "trace_ada_seed0.csv", "trace_hedge_seed0.csv", "trace_tv_seed0.csv"]
+        assert [name for name in outs[0] if outs[0][name] != outs[1][name]] == []
+
+
 class TestSelfcheck:
     def test_passes_clean(self, capsys):
         assert run_cli(["selfcheck"]) == EXIT_OK

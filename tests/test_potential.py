@@ -15,9 +15,11 @@ from hedgelab.potential import (
     ExpertState,
     PotentialParams,
     check_increment_bound,
+    check_losses,
     check_piecewise_convexity,
     check_weight_consistency,
     check_weight_zero_set,
+    dot,
     phi,
     phi_arr,
     run_grid_checks,
@@ -184,6 +186,65 @@ class TestExpertBank:
         conf = np.array([1.0, 0.5, 0.25])
         np.testing.assert_array_equal(bank.predict(conf=conf), q * conf / (q * conf).sum())
         assert bank.potential_sum() == 1.0
+
+
+class TestDot:
+    """dot() is numpy's dot up to OpenBLAS's threading threshold and a
+    chunked sum above it; math.fsum of the products is the exact reference."""
+
+    @pytest.mark.parametrize("n", [9_999, 10_000, 10_001, 20_000])
+    def test_within_a_few_ulps_of_fsum(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            a, b = rng.random(n), rng.random(n)
+            exact = math.fsum((a * b).tolist())
+            assert abs(dot(a, b) - exact) <= 4 * math.ulp(exact)
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 9_999, 10_000])
+    def test_numpy_bits_at_and_below_the_threshold(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.random(n), rng.random(n)
+        assert dot(a, b) == float(np.dot(a, b))
+
+    @pytest.mark.parametrize("n", [10_001, 20_000])
+    def test_chunks_above_the_threshold(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.random(n), rng.random(n)
+        total = 0.0
+        for i in range(0, n, 8192):
+            total += float(np.dot(a[i : i + 8192], b[i : i + 8192]))
+        assert dot(a, b) == total
+
+
+class TestCheckLosses:
+    @pytest.mark.parametrize("bad", [math.nan, -1e-300, 1.0 + 2.0**-52])
+    @pytest.mark.parametrize("n", [None, 3])
+    def test_rejects_outside_the_unit_interval(self, bad, n):
+        for pos in range(3):
+            losses = [0.5, 0.0, 1.0]
+            losses[pos] = bad
+            with pytest.raises(ValueError, match=r"^losses must lie in \[0, 1\]$"):
+                check_losses(losses, n)
+
+    def test_accepts_the_unit_interval(self):
+        out = check_losses([0, 1.0, 0.25], 3)
+        assert out.dtype == float and out.tolist() == [0.0, 1.0, 0.25]
+
+    def test_checks_every_entry_of_any_shape(self):
+        assert check_losses(0.5).shape == ()
+        assert check_losses([[0.5, 0.25]]).shape == (1, 2)
+        for bad in (1.5, [[0.5, 1.5]], [[0.5], [math.nan]]):
+            with pytest.raises(ValueError, match=r"^losses must lie in \[0, 1\]$"):
+                check_losses(bad)
+
+    @pytest.mark.parametrize("n", [None, 0])
+    def test_empty_accepted(self, n):
+        out = check_losses([], n)
+        assert out.dtype == float and out.shape == (0,)
+
+    def test_empty_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match=r"^losses must have shape \(3,\)$"):
+            check_losses([], 3)
 
 
 class TestParams:
