@@ -185,22 +185,19 @@ def _cap(q: np.ndarray, log_c: np.ndarray, q_sum) -> float:
 
 # OpenBLAS splits a ddot longer than this over its threads, and each thread
 # count rounds it differently.
-_DOT_SERIAL_MAX = 10_000
-_DOT_CHUNK = 8192
+_DOT_CHUNK = 10_000
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
     """a . b of two float vectors, with the same bits at every BLAS thread count.
 
-    Up to OpenBLAS's threading threshold of 10,000 elements this is numpy's
-    dot, bit for bit; above it, the sum in order of the dots of consecutive
-    chunks of 8,192 elements.  Every dot that can be as long as an ExpertBank
-    goes through it; it allocates nothing of that length."""
-    if a.size <= _DOT_SERIAL_MAX:
-        return float(np.dot(a, b))
+    The sum in order of numpy's dots of consecutive chunks of 10,000 elements,
+    OpenBLAS's threading threshold, so no chunk threads; up to 10,000 elements
+    it is numpy's dot, bit for bit.  Every dot that can be as long as an
+    ExpertBank goes through it; it allocates nothing of that length."""
     total = 0.0
     for i in range(0, a.size, _DOT_CHUNK):
-        total += dot(a[i : i + _DOT_CHUNK], b[i : i + _DOT_CHUNK])
+        total += float(np.dot(a[i : i + _DOT_CHUNK], b[i : i + _DOT_CHUNK]))
     return total
 
 

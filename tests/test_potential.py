@@ -211,8 +211,8 @@ class TestDot:
         rng = np.random.default_rng(n)
         a, b = rng.random(n), rng.random(n)
         total = 0.0
-        for i in range(0, n, 8192):
-            total += float(np.dot(a[i : i + 8192], b[i : i + 8192]))
+        for i in range(0, n, 10_000):
+            total += float(np.dot(a[i : i + 10_000], b[i : i + 10_000]))
         assert dot(a, b) == total
 
 
