@@ -40,7 +40,7 @@ import numpy as np
 
 from .checks import selfcheck_results
 from .fixed import FixedLearner
-from .interval import TvLearner, segments_bound, tv_point_mass_terms
+from .interval import TvLearner, _abs_prefix, segments_bound, tv_point_mass_terms
 from .lab import (
     TRACE_COLUMNS,
     HedgeLearner,
@@ -53,7 +53,7 @@ from .lab import (
     play,
     quantile_competitor,
 )
-from .potential import PotentialParams, bound_coefficient
+from .potential import PotentialParams, bound_coefficient, competitor_bound
 from .tree import TreeLearner, absolute_loss, best_pruning, load_tree, load_tree_data, squared_loss
 
 
@@ -174,6 +174,8 @@ def validate_config(cfg: dict) -> None:
     for key in ("tree", "data"):
         if cfg[key] is not None and not isinstance(cfg[key], str):
             raise ConfigError(f"{key} must be a path, got {cfg[key]!r}")
+    if cfg["loss"] not in ("squared", "absolute"):
+        raise ConfigError(f"unknown loss {cfg['loss']!r}; choose squared or absolute")
     for algo in cfg["algos"]:
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}; choose from {tuple(ALGORITHMS)}")
@@ -190,8 +192,6 @@ def validate_config(cfg: dict) -> None:
         for key in ("tree", "data"):  # existence only: run() parses them
             if not Path(cfg[key]).is_file():
                 raise ConfigError(f"{key} file {cfg[key]!r} does not exist")
-        if cfg["loss"] not in ("squared", "absolute"):
-            raise ConfigError(f"unknown loss {cfg['loss']!r}; choose squared or absolute")
         return
 
     if cfg["n"] is None or cfg["t"] is None or cfg["n"] <= 0 or cfg["t"] <= 0:
@@ -265,9 +265,9 @@ def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
     violations = rec.certificate_violations()
     pots, certs, bounds = rec.potential_sums, rec.certificates, None
     if certified:
-        abs_pref = np.cumsum(np.abs(rec.player_losses[:, None] - trace.losses), axis=0)
+        pref_a = _abs_prefix(rec.player_losses, trace.losses)
         ln_inv_q, n_live = algorithm.prior_terms(n, t_len)
-        bounds = np.sqrt(abs_pref[rounds, best_idx] * bound_coefficient(ln_inv_q, certs, n_live))
+        bounds = competitor_bound(pref_a[rounds + 1, best_idx], bound_coefficient(ln_inv_q, certs, n_live))
         summary["final_potential_sum"] = float(pots[-1])
         summary["final_certificate_B"] = float(certs[-1])
         summary["final_bound_eq1"] = float(bounds[-1])

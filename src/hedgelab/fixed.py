@@ -14,9 +14,11 @@ import math
 
 import numpy as np
 
-from .potential import BankCertificates, ExpertBank, PotentialParams, bound_coefficient, check_losses, dot
+from .potential import (
+    BankCertificates, ExpertBank, PotentialParams, bound_coefficient, check_losses, competitor_bound, dot,
+)
 
-__all__ = ["FixedLearner", "relative_entropy", "competitor_bound"]
+__all__ = ["FixedLearner", "relative_entropy"]
 
 
 def relative_entropy(u: np.ndarray, q: np.ndarray) -> float:
@@ -28,13 +30,6 @@ def relative_entropy(u: np.ndarray, q: np.ndarray) -> float:
     if (q == 0.0).any():
         return math.inf
     return float((u * np.log(u / q)).sum())
-
-
-def competitor_bound(u, q, c_u: float, cap: float, n: int | None) -> float:
-    """Regret bound sqrt(c_u * A) for a competitor u with accumulator c_u = u . C,
-    A = bound_coefficient(RE(u||q), cap, n); +inf when u leaves q's support."""
-    a = float(bound_coefficient(relative_entropy(u, q), cap, n))
-    return math.inf if math.isinf(a) else math.sqrt(c_u * a)
 
 
 def _as_prob_vector(v, n: int | None = None, name: str = "vector") -> np.ndarray:
@@ -80,7 +75,6 @@ class FixedLearner(BankCertificates):
     @R.setter
     def R(self, value) -> None:
         self._bank.R[:] = value
-        self._bank.drop_index()
 
     @property
     def C(self) -> np.ndarray:
@@ -89,7 +83,6 @@ class FixedLearner(BankCertificates):
     @C.setter
     def C(self, value) -> None:
         self._bank.C[:] = value
-        self._bank.drop_index()
 
     def predict(self) -> np.ndarray:
         """Distribution over experts: p_i proportional to q_i * weight(R_i, C_i).
@@ -114,7 +107,7 @@ class FixedLearner(BankCertificates):
         return float(bound_coefficient(relative_entropy(u, self.q), self.certificate(), self.n_experts))
 
     def regret_bound(self, u) -> float:
-        """Anytime regret bound sqrt((u . C) * A(u)) for any competitor distribution u.
+        """Anytime regret bound competitor_bound(u . C, A(u)) for any competitor distribution u.
 
         Returns +inf when u puts mass on experts with zero prior.
         """
@@ -123,7 +116,10 @@ class FixedLearner(BankCertificates):
 
     def regret_bound_uniform_subset(self, subset) -> float:
         """Sharper bound for u uniform over a subset S (a repeated index counts once): the log-log term drops to 1."""
-        idx = np.unique(np.asarray(subset, dtype=int))
+        subset = np.asarray(subset)
+        if subset.ndim != 1 or subset.dtype.kind not in "iuf" or not np.all(subset == np.floor(subset)):
+            raise ValueError(f"subset must be a 1-d array of whole numbers, got {subset.tolist()}")
+        idx = np.unique(subset.astype(int))
         if idx.size == 0 or idx[0] < 0 or idx[-1] >= self.n_experts:
             raise ValueError(f"subset must be a nonempty set of indices in [0, {self.n_experts})")
         u = np.zeros(self.n_experts)
@@ -131,4 +127,5 @@ class FixedLearner(BankCertificates):
         return self._regret_bound(u, None)
 
     def _regret_bound(self, u: np.ndarray, n: int | None) -> float:
-        return competitor_bound(u, self.q, dot(u, self.C), self.certificate(), n)
+        a = bound_coefficient(relative_entropy(u, self.q), self.certificate(), n)
+        return float(competitor_bound(dot(u, self.C), a))

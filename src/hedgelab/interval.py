@@ -12,18 +12,17 @@ birth order (row (tau-1)*N + i holds the copy of expert i born at tau), and
 every copy's (R, C) is updated every round: O(N*t) time per round and O(N*T)
 memory, so harness runs cap T around 20k.  A round (update, then certify)
 costs about a dozen passes over the N*t rows: the losses repeated over the
-copies, the player loss by potential.dot, the sum of the unnormalized
-weights, the (R, C) update, one scan for the bank's liveness index, and for
-the certificate 1 + ln(1 + C) of every copy, the prior sum and two more
-potential.dot calls, whose bits do not depend on the BLAS thread count.
-It allocates no array of that length, but the potentials when more than a
-quarter of the copies have R > 0.  Only the live copies (R > -1) cost an exp,
-gathered through that index, because every other copy's weight is exactly
+copies, the player loss by potential.dot, one scan for the live copies and
+the sum of the unnormalized weights, the (R, C) update, and for the
+certificate one scan for the copies with R > 0, 1 + ln(1 + C) of every copy,
+the prior sum and two more potential.dot calls, whose bits do not depend on
+the BLAS thread count.  It allocates no array of that length, but the
+potentials when more than a quarter of the copies have R > 0.  Only the live
+copies (R > -1) cost an exp, because every other copy's weight is exactly
 zero: 94% of the copies are dead at the end of a 1500-round shifting run with
-N=10, 57% after 1500 i.i.d. uniform rounds.  The index may list dead copies
-too, never miss a live one: a weight evaluated where it is zero is zero bit
-for bit.  Because the learner shares the bank, driving a registry with
-birth-scheduled ids reproduces its outputs bit for bit.
+N=10, 57% after 1500 i.i.d. uniform rounds.  Because the learner shares the
+bank, driving a registry with birth-scheduled ids reproduces its outputs bit
+for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +31,9 @@ import math
 
 import numpy as np
 
-from .potential import BankCertificates, ExpertBank, bound_coefficient, check_losses, check_trace, potential_cap
+from .potential import (
+    BankCertificates, ExpertBank, bound_coefficient, check_losses, check_trace, competitor_bound, potential_cap,
+)
 
 __all__ = [
     "TvLearner",
@@ -49,8 +50,8 @@ class TvLearner(BankCertificates):
     """Base-expert predictions from per-birth-round sleeping copies (d = 1)."""
 
     def __init__(self, n_base: int, horizon: int | None = None):
-        if n_base < 1:
-            raise ValueError("need at least one base expert")
+        if n_base < 1 or n_base != int(n_base):
+            raise ValueError(f"need a whole number of base experts, at least one, got {n_base}")
         self.n = int(n_base)
         self.t = 0  # completed rounds
         self._bank = ExpertBank(capacity=(int(horizon) if horizon else 16) * self.n)
@@ -114,13 +115,19 @@ def adaptive_regret(player_losses, losses, t1: int, t2: int, i: int) -> float:
     return float(np.sum(player_losses[t1 - 1 : t2] - losses[t1 - 1 : t2, i]))
 
 
-def _prefix(x):
-    return np.vstack([np.zeros(x.shape[1]), np.cumsum(x, axis=0)])
-
-
-def _prefixes(player_losses, losses):
+def _abs_prefix(player_losses, losses) -> np.ndarray:
+    """Sums of |player loss - loss| over each expert's first t rounds, t = 0..T: row t of a (T + 1, N) array."""
+    pref = np.zeros((losses.shape[0] + 1, losses.shape[1]))
     r = player_losses[:, None] - losses
-    return _prefix(r), _prefix(np.abs(r))
+    np.cumsum(np.abs(r, out=r), axis=0, out=pref[1:])
+    return pref
+
+
+def _prefixes(player_losses, losses) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of player loss - loss laid out as _abs_prefix's, and _abs_prefix."""
+    pref_r = np.zeros((losses.shape[0] + 1, losses.shape[1]))
+    np.cumsum(player_losses[:, None] - losses, axis=0, out=pref_r[1:])
+    return pref_r, _abs_prefix(player_losses, losses)
 
 
 def tv_prior(T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,18 +153,18 @@ def _interval_bounds(pref_a, qtau, zeta, t2: int, n: int, births: slice, log_t1)
     one row per birth round (log_t1 holds their ln t1) and one column per expert."""
     ln_inv_q = math.log(n * zeta[t2 - 1]) + 2.0 * log_t1
     cap = _certificate_at(pref_a, qtau, zeta, t2, n)
-    return np.sqrt((pref_a[t2][None, :] - pref_a[births]) * bound_coefficient(ln_inv_q[:, None], cap, n * t2))
+    return competitor_bound(pref_a[t2][None, :] - pref_a[births], bound_coefficient(ln_inv_q[:, None], cap, n * t2))
 
 
 def interval_bound(player_losses, losses, t1: int, t2: int, i: int) -> float:
     """Certificate for the interval regret of the copy born at t1 for expert i.
 
-    sqrt(3 * C_[t1,t2],i * (ln(1/q_(t1)) + ln B' + ln(1 + ln(N*t2)))) where
-    q_(t1) is the normalized 1/t1^2 prior over the N*t2 copies alive at t2 and
-    B' is their potential-sum cap.
+    The competitor bound of C_[t1,t2],i and 3 * (ln(1/q_(t1)) + ln B' +
+    ln(1 + ln(N*t2))), where q_(t1) is the normalized 1/t1^2 prior over the
+    N*t2 copies alive at t2 and B' is their potential-sum cap.
     """
     player_losses, losses = _interval_trace(player_losses, losses, t1, t2, i)
-    pref_a = _prefix(np.abs(player_losses[:, None] - losses))
+    pref_a = _abs_prefix(player_losses, losses)
     qtau, zeta = tv_prior(losses.shape[0])
     # math.log, not np.log: the two differ in the last bit at some t1 (9170, for one)
     bounds = _interval_bounds(pref_a, qtau, zeta, t2, losses.shape[1], slice(t1 - 1, t1), np.array([math.log(t1)]))

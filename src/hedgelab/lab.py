@@ -315,8 +315,8 @@ class HedgeLearner:
     """Exponential weights: p_{t,i} proportional to q_i exp(-eta_t L_{t-1,i})."""
 
     def __init__(self, n: int, eta_schedule: Callable[[int], float] | None = None):
-        if n < 1:
-            raise ValueError("need at least one expert")
+        if n < 1 or n != int(n):
+            raise ValueError(f"need a whole number of experts, at least one, got {n}")
         self.n = int(n)
         self.q = np.full(self.n, 1.0 / self.n)
         self.eta_schedule = eta_schedule if eta_schedule is not None else default_eta_schedule(self.n)

@@ -11,9 +11,9 @@ space only overflows past C ~ 2000, far beyond harness scales.
 
 ExpertBank holds the (prior, R, C) rows that the fixed, sleeping and interval
 learners predict, update and certify through; potential_cap, bound_coefficient,
-check_losses and check_trace are the cap, the bound and the loss and trace checks
-they share, dot their one dot product of bank length; certify_stack certifies
-saved states and BankCertificates the learners' live rows.
+competitor_bound, check_losses and check_trace are the cap, the bound and the
+loss and trace checks they share, dot their one dot product of bank length;
+certify_stack certifies saved states and BankCertificates the learners' live rows.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def bound_coefficient(ln_inv_q, cap, n=None):
-    """A = 3 (ln(1/q) + ln B + ln(1 + ln N)), so that regret <= sqrt(C_u * A)
+    """A = 3 (ln(1/q) + ln B + ln(1 + ln N)), so that regret <= competitor_bound(C_u, A)
     for a competitor at relative entropy ln_inv_q to the prior (ln(1/q) for a
     point mass), potential-sum cap B and N registered experts; arrays broadcast.
     With n=None the log-log term is 1, the sharper form for a competitor
@@ -212,33 +212,45 @@ def bound_coefficient(ln_inv_q, cap, n=None):
     return 3.0 * (ln_inv_q + np.log(cap) + loglog)
 
 
+def competitor_bound(c_u, a):
+    """The regret bound, the square root of c_u * A, of a competitor with accumulator c_u and bound
+    coefficient A = bound_coefficient(...); arrays broadcast.  +inf wherever A is, c_u = 0 included."""
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        bound = np.sqrt(np.multiply(c_u, a))
+    return np.where(np.isposinf(a), np.inf, bound)
+
+
 # Evaluating fn on a gathered subset costs a few microseconds plus about
 # 20 ns a gathered entry, against about 10 ns an entry for evaluating them all
-# (weight_arr, 2-vCPU Xeon): gathering pays on large arrays whose entries
-# mostly need no evaluation, such as the interval learner's copies.  Here a
-# gather costs a scan for the entries first.  An ExpertBank skips the scan in
-# calls on all its rows: its liveness index, made by one scan per update,
-# lists the rows that may have R > -1.  The index may over-approximate but
-# never miss a live row, since fn evaluated where it is constant gives that
-# constant bit for bit.
+# (weight_arr, 2-vCPU Xeon), plus one scan for the entries: gathering pays on
+# large arrays whose entries mostly need no evaluation, such as the interval
+# learner's copies.
 _GATHER_MIN_SIZE = 2048
 
 
-def _evaluate_where(fn, R, C, edge: float, constant: float) -> np.ndarray:
+def _gather_rows(R: np.ndarray, edge: float) -> np.ndarray | None:
+    """The ascending flat indices of the entries R > edge when R has at least _GATHER_MIN_SIZE
+    entries and at most a quarter of them are above the edge; else None, for evaluating all."""
+    if R.size < _GATHER_MIN_SIZE:
+        return None
+    idx = np.flatnonzero(R > edge)
+    return idx if 4 * idx.size <= R.size else None
+
+
+def _evaluate_where(fn, R, C, edge: float, constant: float, out: np.ndarray | None = None) -> np.ndarray:
     """fn(R, C) for a function that is exactly `constant` wherever R <= edge.
 
-    On a large array with at most a quarter of its entries above the edge,
-    fn runs on those entries only and the constant fills the rest; either
-    way the result is the same bit for bit, so sums over it keep their order
-    and value.  The scan here is what an ExpertBank's liveness index saves.
+    Where _gather_rows picks entries, fn runs on those only and the constant
+    fills the rest (of out, when given); either way the result is the same
+    bit for bit, so sums over it keep their order and value.
     """
-    if R.size >= _GATHER_MIN_SIZE:
-        idx = np.flatnonzero(R > edge)
-        if 4 * idx.size <= R.size:
-            out = np.full(R.size, constant)
-            out[idx] = fn(R.ravel()[idx], C.ravel()[idx])
-            return out.reshape(R.shape)
-    return fn(R, C)
+    idx = _gather_rows(R, edge)
+    if idx is None:
+        return fn(R, C)
+    out = np.empty(R.size) if out is None else out
+    out.fill(constant)
+    out[idx] = fn(R.ravel()[idx], C.ravel()[idx])
+    return out.reshape(R.shape)
 
 
 def _certificate(q: np.ndarray, phi: np.ndarray, log_c: np.ndarray, q_sum):
@@ -276,14 +288,10 @@ class ExpertBank:
     buffer, in the distribution s of a gathered round (a row that is 0
     outside the rows it gathers, and everywhere between calls) and in a
     contiguous (3, m) work block (weights, losses and regrets, potentials,
-    1 + ln(1 + C)).  They gather the weights and potentials on the bank's
-    liveness index, the ascending rows that may have R > -1, instead of
-    scanning for them: each such update recomputes it by one scan, and add()
-    extends it with the newborn rows.  It may over-approximate but never
-    miss a live row, and gathering more rows than needed changes no bit:
-    weight is exactly 0 where R <= -1 and the potential exactly 1 where
-    R <= 0.  Updates on other rows drop the index, and so must a write to R
-    from outside (drop_index); the calls then scan, as on other rows.
+    1 + ln(1 + C)), as certify does on any rows.  predict and certify each
+    scan once for the rows they gather (_gather_rows): weight is exactly 0
+    where R <= -1 and the potential exactly 1 where R <= 0, so gathering
+    changes no bit.
     """
 
     _ROWS = 7  # q, R, C, s, then three rows of room for the work block
@@ -292,7 +300,6 @@ class ExpertBank:
         self.params = params if params is not None else PotentialParams()
         self._grow(capacity)
         self.q, self.R, self.C, self._s = self._buf[:4, :0]
-        self._live = np.zeros(0, dtype=np.intp)  # the liveness index; None when unknown
 
     def _grow(self, capacity: int) -> None:
         self._buf = np.empty((self._ROWS, capacity))  # written before read: unused capacity stays untouched
@@ -310,37 +317,21 @@ class ExpertBank:
         buf[0, start:end] = priors
         buf[1:4, start:end] = 0.0  # R, C and s
         self.q, self.R, self.C, self._s = buf[0, :end], buf[1, :end], buf[2, :end], buf[3, :end]
-        if self._live is not None:
-            self._live = np.concatenate((self._live, np.arange(start, end)))
-
-    def drop_index(self) -> None:
-        """Forget the liveness index, after a write to R from outside the bank."""
-        self._live = None
 
     def _whole(self, rows, conf) -> bool:
         """Whether a call acts on every row, without confidences."""
         return conf is None and isinstance(rows, slice) and rows.indices(self.q.size) == (0, self.q.size, 1)
 
-    def _gather_rows(self, edge: float) -> np.ndarray | None:
-        """The ascending rows that hold every R > edge (edge >= -1), when they
-        are few enough to gather; else None."""
-        m, live = self.q.size, self._live
-        if m < _GATHER_MIN_SIZE:
-            return None
-        if live is None or (edge > -1.0 and 4 * live.size > m):  # too many live rows, but maybe few with R > 0
-            live = (self.R > edge).nonzero()[0]
-        return live if 4 * live.size <= m else None
-
     def _distribution(self) -> tuple[np.ndarray, np.ndarray | None]:
         """predict() on every row, in s or in row 1 of the work block, and the
         rows of s to clear once it has been used (None for none)."""
-        q, R, C, s, m = self.q, self.R, self.C, self._s, self.q.size
-        live = self._gather_rows(-1.0)  # weight is exactly 0 for R <= -1
+        q, R, C, m = self.q, self.R, self.C, self.q.size
+        live = _gather_rows(R, -1.0)  # weight is exactly 0 for R <= -1
         if live is None:
             p = _weight(R, C, self._work[: 3 * m].reshape(3, m))
             np.multiply(q, p, out=p)
         else:
-            p = s
+            p = self._s
             s_live = q[live] * _weight(R[live], C[live])
             p[live] = s_live
         total = p.sum()
@@ -376,7 +367,6 @@ class ExpertBank:
         (the interval learner's copies play their expert's loss).
         p, when given, is predict(rows, conf) already computed on this state."""
         if not self._whole(rows, conf):
-            self._live = None
             if p is None:
                 p = self.predict(rows, conf)
             player_loss = dot(p, losses)
@@ -397,8 +387,6 @@ class ExpertBank:
         np.subtract(player_loss, losses, out=r)
         self.R += r
         self.C += np.abs(r, out=r) if self.params.d == 1.0 else self.params.increment(r)
-        if self.q.size >= _GATHER_MIN_SIZE:
-            self._live = (self.R > -1.0).nonzero()[0]
         return player_loss
 
     def certify(self, rows=slice(None)) -> tuple[float, float]:
@@ -408,23 +396,13 @@ class ExpertBank:
         return self._certify(rows)
 
     def _certify(self, rows) -> tuple[float, float]:
-        q = self.q[rows]
-        if q.size == 0:
+        q, R, C = self.q[rows], self.R[rows], self.C[rows]
+        m = q.size
+        if m == 0:
             return 1.0, 2.5
-        if not self._whole(rows, None):
-            R, C = self.R[rows], self.C[rows]
-            phi, log_c = _evaluate_where(_phi, R, C, 0.0, 1.0), 1.0 + np.log1p(C)
-        else:
-            R, C, m = self.R, self.C, self.q.size
-            live = self._gather_rows(0.0)  # phi is exactly 1 for R <= 0
-            if live is None:
-                phi = _phi(R, C)
-            else:
-                phi = self._work[:m]
-                phi.fill(1.0)
-                phi[live] = _phi(R[live], C[live])
-            log_c = np.log1p(C, out=self._work[m : 2 * m])
-            log_c += 1.0
+        phi = _evaluate_where(_phi, R, C, 0.0, 1.0, out=self._work[:m])  # phi is exactly 1 for R <= 0
+        log_c = np.log1p(C, out=self._work[m : 2 * m])
+        log_c += 1.0
         pot, cap = _certificate(q, phi, log_c, q.sum())
         return float(pot), float(cap)
 

@@ -29,8 +29,10 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .fixed import competitor_bound
-from .potential import BankCertificates, ExpertBank, ExpertState, bound_coefficient, certify_stack, check_losses, dot
+from .fixed import relative_entropy
+from .potential import (
+    BankCertificates, ExpertBank, ExpertState, bound_coefficient, certify_stack, check_losses, competitor_bound, dot,
+)
 
 __all__ = ["ExpertId", "ConfidenceRound", "SleepingRegistry"]
 
@@ -152,12 +154,12 @@ class SleepingRegistry(BankCertificates):
         R and C holds the bank's R and C in its first sizes[k] > 0 entries, the
         ids registered by then."""
         # the first registered among ties, as best_id(); for a point mass u on it,
-        # u . C is C[best] and RE(u||q) is ln(1 / q_best), as in competitor_bound
+        # u . C is C[best] and RE(u||q) is ln(1 / q_best), as in regret_bound
         best = np.argmax(np.where(np.arange(R.shape[1]) < sizes[:, None], R, -np.inf), axis=1)
         pots, caps, q_sums = certify_stack(self._bank.q, R, C, sizes)
         ln_inv_q = np.log(1.0 / (self._bank.q[best] / q_sums))
         rounds = np.arange(sizes.size)
-        bounds = np.sqrt(C[rounds, best] * bound_coefficient(ln_inv_q, caps, sizes))
+        bounds = competitor_bound(C[rounds, best], bound_coefficient(ln_inv_q, caps, sizes))
         return R[rounds, best], pots, caps, bounds
 
     def regret_bound(self, u: Mapping) -> float:
@@ -177,8 +179,6 @@ class SleepingRegistry(BankCertificates):
                 if expert_id not in self._rows:
                     return math.inf
                 uvec[self._rows[expert_id]] = v
-        # The relative entropy sums over the support only, in ascending row
-        # order; the other rows carry no mass.
-        support = np.flatnonzero(uvec)
-        q, c_u = self._bank.q, dot(uvec, self._bank.C)
-        return competitor_bound(uvec[support], q[support] / q.sum(), c_u, self.certificate(), self.seen_count)
+        q = self._bank.q  # relative_entropy sums over the support of uvec, in ascending row order
+        a = bound_coefficient(relative_entropy(uvec, q / q.sum()), self.certificate(), self.seen_count)
+        return float(competitor_bound(dot(uvec, self._bank.C), a))

@@ -257,6 +257,22 @@ class TestArgHandling:
         assert err.startswith("error: cannot create output directory") and err.count("\n") == 1, err
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    @pytest.mark.parametrize("scenario", ["adversarial", "shifting"])
+    def test_bad_loss_is_bad_config_on_every_scenario(self, tmp_path, capsys, via, scenario):
+        out = tmp_path / "out"
+        args = ["run", "--scenario", scenario, "--n", "2", "--t", "5", "--k", "2", "--alpha", "0.2", "--out", str(out)]
+        if via == "flags":
+            args += ["--loss", "bogus"]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"loss": "bogus"}))
+            args += ["--config", str(cfg_path)]
+        assert run_cli(args) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown loss 'bogus'") and err.count("\n") == 1, err
+        assert not out.exists()
+
 
 class TestTreeFiles:
     @pytest.mark.parametrize("missing", ["tree", "data"])

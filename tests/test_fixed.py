@@ -273,3 +273,24 @@ class TestLivenessIndex:
         s = q * weight_arr(R, C)
         np.testing.assert_array_equal(learner.predict(), s / s.sum())
         assert learner.certify() == (float(np.dot(q, phi_arr(R, C)) / q.sum()), potential_cap(q, C))
+
+
+class TestBoundInputs:
+    @pytest.mark.parametrize("subset", [[0.5], [1.5, 2.0], [[0, 1]], [True], np.array([np.nan])])
+    def test_uniform_subset_of_non_indices_rejected(self, subset):
+        # a fraction must not be truncated to an index, nor a nested list flattened
+        learner = uniform_learner(4)
+        learner.update([0.1, 0.9, 0.5, 0.5])
+        with pytest.raises(ValueError):
+            learner.regret_bound_uniform_subset(subset)
+
+    def test_uniform_subset_of_whole_floats_is_the_index_subset(self):
+        learner = uniform_learner(4)
+        learner.update([0.1, 0.9, 0.5, 0.5])
+        assert learner.regret_bound_uniform_subset([2.0, 0.0]) == learner.regret_bound_uniform_subset(np.array([0, 2]))
+
+    def test_zero_prior_competitor_before_any_round_is_infinite(self):
+        # u . C = 0 and A = +inf: the bound is +inf, not 0 * inf = NaN
+        learner = FixedLearner([1.0, 0.0])
+        assert learner.regret_bound([0.0, 1.0]) == math.inf
+        assert learner.regret_bound([1.0, 0.0]) == 0.0

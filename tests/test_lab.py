@@ -436,3 +436,10 @@ class TestHedge:
         learner = HedgeLearner(5)
         rec = play(learner, trace.losses)
         assert rec.player_losses[-100:].mean() < 0.2  # locked onto the mu=0.1 arm
+
+
+@pytest.mark.parametrize("learner", [HedgeLearner, TvLearner])
+@pytest.mark.parametrize("n", [2.5, 0.5, 0])
+def test_fractional_or_empty_expert_count_rejected(learner, n):
+    with pytest.raises(ValueError):
+        learner(n)

@@ -324,3 +324,46 @@ class TestGridChecks:
     def test_grid_shape(self):
         assert GRID_R[0] == -10.0 and GRID_R[-1] == 10.0 and len(GRID_R) == 81
         assert list(GRID_C) == [0.0, 0.5, 1.0, 5.0, 50.0]
+
+
+class TestCompetitorBound:
+    def test_equals_scalar_sqrt_and_broadcasts(self):
+        rng = np.random.default_rng(3)
+        c_u, a = rng.uniform(0.0, 50.0, (4, 1)), rng.uniform(1.0, 30.0, 5)
+        bound = potential.competitor_bound(c_u, a)
+        assert bound.shape == (4, 5)
+        assert [[math.sqrt(c * x) for x in a] for c in c_u[:, 0]] == bound.tolist()
+
+    def test_infinite_coefficient_gives_infinity_even_at_zero_accumulator(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = potential.competitor_bound(np.array([0.0, 0.0, 2.0]), np.array([math.inf, 4.0, math.inf]))
+        assert bound.tolist() == [math.inf, 0.0, math.inf]
+        assert float(potential.competitor_bound(0.0, math.inf)) == math.inf
+
+
+class TestGatheredSubsets:
+    def test_gathered_awake_rows_match_dense_formula(self):
+        # 3,000 awake rows of 6,000 with about 6% live: predict, update and certify
+        # gather on the awake rows and leave the bank's scratch row s clear
+        rng = np.random.default_rng(1)
+        n = 6000
+        q = rng.uniform(0.1, 1.0, n)
+        R = np.where(rng.random(n) < 0.9, -3.0, rng.uniform(-5.0, 2.0, n))
+        C = np.abs(R) + rng.uniform(0.0, 3.0, n)
+        rows = np.arange(0, n, 2)
+        losses = rng.uniform(0.0, 1.0, rows.size)
+        for conf in (None, rng.uniform(0.1, 1.0, rows.size)):
+            bank = _bank(q, R, C)
+            qc = q[rows] if conf is None else q[rows] * conf
+            s = qc * weight_arr(R[rows], C[rows])
+            p = bank.predict(rows, conf)
+            np.testing.assert_array_equal(p, s / s.sum())
+            player_loss = bank.update(losses, rows, conf)
+            assert player_loss == float(np.dot(p, losses))
+            r = player_loss - losses if conf is None else conf * (player_loss - losses)
+            np.testing.assert_array_equal(bank.R[rows], R[rows] + r)
+            np.testing.assert_array_equal(bank.C[rows], C[rows] + np.abs(r))
+            assert not bank._s.any()
+            Rn, Cn = bank.R[rows], bank.C[rows]
+            assert bank.potential_sum(rows) == float(np.dot(q[rows], phi_arr(Rn, Cn)) / q[rows].sum())
