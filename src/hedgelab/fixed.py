@@ -91,15 +91,17 @@ class FixedLearner(BankCertificates):
         """
         return self._bank.predict()
 
-    def update(self, losses) -> float:
+    def update(self, losses, certify: bool = False):
         """Consume one round of losses in [0, 1]^N, return the player loss.
 
         The prediction is recomputed internally so the weighted sum of
-        instantaneous regrets is zero by construction.
+        instantaneous regrets is zero by construction.  With certify=True
+        (d = 1 only) return (player loss, *certify()) of the new state, the
+        bits of update() then certify() from one pass over the experts.
         """
-        player_loss = self._bank.update(check_losses(losses, self.n_experts))
+        out = self._bank.update(check_losses(losses, self.n_experts), certify=certify)
         self.t += 1
-        return player_loss
+        return out
 
     def bound_coefficient(self, u) -> float:
         """A(u) = 3 * (RE(u||q) + ln B + ln(1 + ln N)) for competitor u."""

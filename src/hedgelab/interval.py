@@ -10,13 +10,15 @@ bounds shifting regret against the best segmented competitor.
 The copies are rows of the expert bank that SleepingRegistry also uses, in
 birth order (row (tau-1)*N + i holds the copy of expert i born at tau), and
 every copy's (R, C) is updated every round: O(N*t) time per round and O(N*T)
-memory, so harness runs cap T around 20k.  A round (update, then certify)
-costs about a dozen passes over the N*t rows: the losses repeated over the
-copies, the player loss by potential.dot, one scan for the live copies and
-the sum of the unnormalized weights, the (R, C) update, and for the
-certificate one scan for the copies with R > 0, 1 + ln(1 + C) of every copy,
-the prior sum and two more potential.dot calls, whose bits do not depend on
-the BLAS thread count.  It allocates no array of that length, but the
+memory, so harness runs cap T around 20k.  A certified round,
+update(losses, certify=True), costs about a dozen passes over the N*t rows
+and scans once: the losses repeated over the copies, the player loss by
+potential.dot, the one scan for the live copies and the sum of the
+unnormalized weights, the (R, C) update, and for the certificate
+1 + ln(1 + C) of every copy, the prior sum and two more potential.dot calls,
+whose bits do not depend on the BLAS thread count.  The certificate finds
+the copies with R > 0 among the live copies the prediction gathered, since
+no regret step exceeds 1.  It allocates no array of that length, but the
 potentials when more than a quarter of the copies have R > 0.  Only the live
 copies (R > -1) cost an exp, because every other copy's weight is exactly
 zero: 94% of the copies are dead at the end of a 1500-round shifting run with
@@ -84,13 +86,15 @@ class TvLearner(BankCertificates):
         """Distribution over base experts for the upcoming round."""
         return self._bank.predict(self._spawn()).reshape(-1, self.n).sum(axis=0)
 
-    def update(self, losses) -> float:
-        """Consume one round of base-expert losses, return the player loss."""
+    def update(self, losses, certify: bool = False):
+        """Consume one round of base-expert losses, return the player loss.
+        With certify=True return (player loss, *certify()) of the new state,
+        the bits of update() then certify() from one pass over the copies."""
         losses = check_losses(losses, self.n)
         rows = self._spawn()
-        player_loss = self._bank.update(losses, rows)  # every copy plays its expert's loss
+        out = self._bank.update(losses, rows, certify=certify)  # every copy plays its expert's loss
         self.t += 1
-        return player_loss
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from .fixed import FixedLearner
+from .interval import TvLearner
 from .potential import check_losses, check_trace
 
 __all__ = [
@@ -377,9 +379,11 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
     losses is a (T, N) matrix; when adversary is given it must be a callable
     (t, p) -> loss vector and losses is interpreted as the horizon via its
     first dimension (the produced losses are recorded and returned).  With
-    certificates=True the per-round potential sum and its cap are recorded,
-    from one certify() call or else from potential_sum() and certificate()
-    (learners with neither yield None entries).
+    certificates=True the per-round potential sum and its cap are recorded:
+    from the fixed and interval learners' certified update(losses,
+    certify=True), from one certify() call after update() on other learners
+    that have it, or else from potential_sum() and certificate() (learners
+    with neither yield None entries).
     """
     if adversary is None:
         losses = np.asarray(losses, dtype=float)
@@ -392,6 +396,10 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
     if certify is None and hasattr(learner, "potential_sum") and hasattr(learner, "certificate"):
         certify = lambda: (learner.potential_sum(), learner.certificate())  # noqa: E731
     record = certificates and certify is not None
+    if record and isinstance(learner, (FixedLearner, TvLearner)):
+        step = lambda lvec: learner.update(lvec, certify=True)  # noqa: E731
+    elif record:
+        step = lambda lvec: (learner.update(lvec), *certify())  # noqa: E731
     player = np.empty(t_len)
     pots = np.empty(t_len) if record else None
     certs = np.empty(t_len) if record else None
@@ -403,9 +411,10 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
             p = learner.predict()
             lvec = np.asarray(adversary(t, p), dtype=float)
             rows.append(lvec)
-        player[t] = learner.update(lvec)
         if record:
-            pots[t], certs[t] = certify()
+            player[t], pots[t], certs[t] = step(lvec)
+        else:
+            player[t] = learner.update(lvec)
     if adversary is not None:
         realized = np.vstack(rows)
     return RunRecord(player, realized, pots, certs)

@@ -131,6 +131,13 @@ def _phi(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.exp(expo, out=expo)
 
 
+def _phi_above(R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """_phi on entries with R > 0, bit for bit: exp(R^2 / (3C)), with no clamp and no mask."""
+    expo = R * R
+    expo /= 3.0 * C
+    return np.exp(expo, out=expo)
+
+
 def _weight(R: np.ndarray, C: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """weight_arr without conversions, by in-place buffer arithmetic on R + 1
     and R - 1 stacked; the interval learner calls it on its live copies
@@ -193,8 +200,10 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 
     The sum in order of numpy's dots of consecutive chunks of 10,000 elements,
     OpenBLAS's threading threshold, so no chunk threads; up to 10,000 elements
-    it is numpy's dot, bit for bit.  Every dot that can be as long as an
+    it is one call to numpy's dot.  Every dot that can be as long as an
     ExpertBank goes through it; it allocates nothing of that length."""
+    if a.size <= _DOT_CHUNK:
+        return float(np.dot(a, b))
     total = 0.0
     for i in range(0, a.size, _DOT_CHUNK):
         total += float(np.dot(a[i : i + _DOT_CHUNK], b[i : i + _DOT_CHUNK]))
@@ -228,28 +237,32 @@ def competitor_bound(c_u, a):
 _GATHER_MIN_SIZE = 2048
 
 
-def _gather_rows(R: np.ndarray, edge: float) -> np.ndarray | None:
+def _gather_rows(R: np.ndarray, edge: float, candidates: np.ndarray | None = None) -> np.ndarray | None:
     """The ascending flat indices of the entries R > edge when R has at least _GATHER_MIN_SIZE
-    entries and at most a quarter of them are above the edge; else None, for evaluating all."""
+    entries and at most a quarter of them are above the edge; else None, for evaluating all.
+    candidates, when given, are ascending indices of a 1-d R that hold every entry above
+    the edge, filtered in place of a scan of R."""
     if R.size < _GATHER_MIN_SIZE:
         return None
-    idx = np.flatnonzero(R > edge)
+    idx = np.flatnonzero(R > edge) if candidates is None else candidates[R[candidates] > edge]
     return idx if 4 * idx.size <= R.size else None
 
 
-def _evaluate_where(fn, R, C, edge: float, constant: float, out: np.ndarray | None = None) -> np.ndarray:
+def _evaluate_where(fn, R, C, edge: float, constant: float, out: np.ndarray | None = None,
+                    candidates: np.ndarray | None = None, above=None) -> np.ndarray:
     """fn(R, C) for a function that is exactly `constant` wherever R <= edge.
 
-    Where _gather_rows picks entries, fn runs on those only and the constant
-    fills the rest (of out, when given); either way the result is the same
-    bit for bit, so sums over it keep their order and value.
+    Where _gather_rows (given the candidates) picks entries, `above` (fn by
+    default; a form of fn valid only above the edge) runs on those only and
+    the constant fills the rest (of out, when given); either way the result is
+    the same bit for bit, so sums over it keep their order and value.
     """
-    idx = _gather_rows(R, edge)
+    idx = _gather_rows(R, edge, candidates)
     if idx is None:
         return fn(R, C)
     out = np.empty(R.size) if out is None else out
     out.fill(constant)
-    out[idx] = fn(R.ravel()[idx], C.ravel()[idx])
+    out[idx] = (fn if above is None else above)(R.ravel()[idx], C.ravel()[idx])
     return out.reshape(R.shape)
 
 
@@ -265,7 +278,7 @@ def certify_stack(q: np.ndarray, R: np.ndarray, C: np.ndarray, sizes) -> np.ndar
     first n = sizes[k] bank rows (later entries must be reachable, as zeros are).
     Each equals certify() in its state bit for bit by its own dot(); one gemv
     over the stack rounds differently."""
-    phi = _evaluate_where(_phi, R, C, 0.0, 1.0)  # phi is exactly 1 for R <= 0
+    phi = _evaluate_where(_phi, R, C, 0.0, 1.0, above=_phi_above)  # phi is exactly 1 for R <= 0
     log_c = 1.0 + np.log1p(C)
     out = np.empty((3, len(sizes)))
     q_sum, last = 0.0, 0
@@ -288,10 +301,11 @@ class ExpertBank:
     buffer, in the distribution s of a gathered round (a row that is 0
     outside the rows it gathers, and everywhere between calls) and in a
     contiguous (3, m) work block (weights, losses and regrets, potentials,
-    1 + ln(1 + C)), as certify does on any rows.  predict and certify each
-    scan once for the rows they gather (_gather_rows): weight is exactly 0
-    where R <= -1 and the potential exactly 1 where R <= 0, so gathering
-    changes no bit.
+    1 + ln(1 + C)), as certify does on any rows.  A certified round,
+    update(losses, certify=True), scans once for the rows it gathers
+    (_gather_rows): the prediction's rows with R > -1, among which the
+    certificate finds its rows with R > 0.  Weight is exactly 0 where R <= -1
+    and the potential exactly 1 where R <= 0, so gathering changes no bit.
     """
 
     _ROWS = 7  # q, R, C, s, then three rows of room for the work block
@@ -360,12 +374,22 @@ class ExpertBank:
             s, total = q, q.sum()
         return s / total
 
-    def update(self, losses: np.ndarray, rows=slice(None), conf=None, p=None) -> float:
+    def update(self, losses: np.ndarray, rows=slice(None), conf=None, p=None, certify: bool = False):
         """Charge the rows their (confidence-scaled) regret to the player loss
         p . losses, and return that player loss; losses must be checked.  When
         the rows are every row, losses may also be a block repeated over them
         (the interval learner's copies play their expert's loss).
-        p, when given, is predict(rows, conf) already computed on this state."""
+        p, when given, is predict(rows, conf) already computed on this state.
+
+        With certify=True (d = 1 only, checked before any state changes) it
+        returns (player loss, *certify(rows)) of the updated state, bit for bit.
+        A whole-bank round whose prediction gathered the rows with R > -1 finds
+        the rows with R > 0 among them, with no scan of its own: |r| <= 1, so
+        no other row crosses 0 but by rounding, to within ulps of 0, where the
+        potential is exactly 1 anyway (C >= |R| >= 1 there)."""
+        if certify:
+            self._certifiable()
+        live = None
         if not self._whole(rows, conf):
             if p is None:
                 p = self.predict(rows, conf)
@@ -373,34 +397,38 @@ class ExpertBank:
             r = player_loss - losses if conf is None else conf * (player_loss - losses)
             self.R[rows] += r
             self.C[rows] += self.params.increment(r)
-            return player_loss
-        live = None
-        if p is None:
-            p, live = self._distribution()
-        r = self._work[: self.q.size]  # row 0 of the work block, clear of the weights
-        if losses.size != r.size:  # np.tile(losses, r.size // losses.size) by one broadcast copy
-            r.reshape(-1, losses.size)[:] = losses
-            losses = r
-        player_loss = dot(p, losses)
-        if live is not None:
-            self._s[live] = 0.0
-        np.subtract(player_loss, losses, out=r)
-        self.R += r
-        self.C += np.abs(r, out=r) if self.params.d == 1.0 else self.params.increment(r)
-        return player_loss
+        else:
+            if p is None:
+                p, live = self._distribution()
+            r = self._work[: self.q.size]  # row 0 of the work block, clear of the weights
+            if losses.size != r.size:  # np.tile(losses, r.size // losses.size) by one broadcast copy
+                r.reshape(-1, losses.size)[:] = losses
+                losses = r
+            player_loss = dot(p, losses)
+            if live is not None:
+                self._s[live] = 0.0
+            np.subtract(player_loss, losses, out=r)
+            self.R += r
+            self.C += np.abs(r, out=r) if self.params.d == 1.0 else self.params.increment(r)
+        return (player_loss, *self._certify(rows, live)) if certify else player_loss
+
+    def _certifiable(self) -> None:
+        if self.params.d != 1.0:
+            raise ValueError("potential certificate is only supported for d = 1")
 
     def certify(self, rows=slice(None)) -> tuple[float, float]:
         """potential_sum(rows) and the cap it stays under (d = 1 only)."""
-        if self.params.d != 1.0:
-            raise ValueError("potential certificate is only supported for d = 1")
+        self._certifiable()
         return self._certify(rows)
 
-    def _certify(self, rows) -> tuple[float, float]:
+    def _certify(self, rows, candidates: np.ndarray | None = None) -> tuple[float, float]:
+        """certify(rows); candidates, when given, are ascending rows holding every row with R > 0."""
         q, R, C = self.q[rows], self.R[rows], self.C[rows]
         m = q.size
         if m == 0:
             return 1.0, 2.5
-        phi = _evaluate_where(_phi, R, C, 0.0, 1.0, out=self._work[:m])  # phi is exactly 1 for R <= 0
+        # phi is exactly 1 for R <= 0
+        phi = _evaluate_where(_phi, R, C, 0.0, 1.0, self._work[:m], candidates, _phi_above)
         log_c = np.log1p(C, out=self._work[m : 2 * m])
         log_c += 1.0
         pot, cap = _certificate(q, phi, log_c, q.sum())

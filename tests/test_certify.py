@@ -6,8 +6,8 @@ import pytest
 
 from hedgelab.fixed import FixedLearner
 from hedgelab.interval import TvLearner
-from hedgelab.lab import HedgeLearner, gen_adversarial, play, rng_for
-from hedgelab.potential import PotentialParams, certify_stack, phi_arr, potential_cap
+from hedgelab.lab import HedgeLearner, gen_adversarial, gen_shifting, play, rng_for
+from hedgelab.potential import ExpertBank, PotentialParams, certify_stack, phi_arr, potential_cap
 from hedgelab.sleeping import SleepingRegistry
 
 
@@ -209,3 +209,105 @@ class TestAdaptiveAdversary:
         rec = play(TvLearner(n), 300, adversary=hit_the_favourite, certificates=True)
         assert rec.potential_sums.size == 300
         assert rec.certificate_violations() == 0
+
+
+def certified_round_pair(certified, reference, losses):
+    """One round of certified.update(losses, certify=True) against reference.update(losses)
+    then reference.certify(): the same bits in the record and in R and C afterwards."""
+    got = certified.update(losses, certify=True)
+    expected = (reference.update(losses), *reference.certify())
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    assert certified._bank.R.tobytes() == reference._bank.R.tobytes()
+    assert certified._bank.C.tobytes() == reference._bank.C.tobytes()
+
+
+class TestCertifiedUpdate:
+    """update(losses, certify=True) is update(losses) then certify(), bit for bit,
+    whether the round gathers its live rows or evaluates every row."""
+
+    def test_fixed_learner(self):
+        prior = np.arange(1.0, 11.0)
+        certified, reference = FixedLearner(prior), FixedLearner(prior)
+        for losses in gen_adversarial(10, 200, 6).losses:
+            certified_round_pair(certified, reference, losses)
+
+    def test_fixed_learner_with_64_of_2048_rows_live(self):
+        # 64 experts stay live, so from some round on predict gathers them and
+        # the certificate finds its rows with R > 0 among them
+        n = 2048
+        rng = np.random.default_rng(5)
+        certified, reference = FixedLearner(np.ones(n)), FixedLearner(np.ones(n))
+        gathered = 0
+        for _ in range(24):
+            losses = rng.uniform(0.5, 1.0, n)
+            losses[:64] = rng.uniform(0.0, 0.2, 64)
+            gathered += 4 * np.count_nonzero(reference.R > -1.0) <= n
+            certified_round_pair(certified, reference, losses)
+        assert 0 < gathered < 24
+        assert np.count_nonzero(reference.R > 0.0) > 0
+
+    def test_tv_learner_on_a_shifting_trace(self):
+        # each round is classified by what a certified round gathers: the live
+        # copies (R > -1 before the update, newborns included) for the prediction,
+        # the copies with R > 0 after it for the certificate
+        n = 10
+        certified, reference = TvLearner(n), TvLearner(n)
+        kinds = {}
+        for losses in gen_shifting(n, 1500, 3, 0.25, 0.3, 0).losses:
+            size = n * (reference.t + 1)
+            live = np.count_nonzero(reference._bank.R[: size - n] > -1.0) + n
+            certified_round_pair(certified, reference, losses)
+            positive = np.count_nonzero(reference._bank.R > 0.0)
+            kind = tuple("gathered" if size >= 2048 and 4 * k <= size else "dense" for k in (live, positive))
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert ("gathered", "dense") not in kinds  # the rows with R > 0 are among the live rows
+        assert kinds[("dense", "dense")] and kinds[("dense", "gathered")] and kinds[("gathered", "gathered")]
+
+    @pytest.mark.parametrize("n", [10, 2048])
+    def test_every_row_dead_falls_back_to_the_prior(self, n):
+        rng = np.random.default_rng(n)
+        R = -rng.uniform(1.0, 4.0, n)
+        C = -R + rng.uniform(0.0, 2.0, n)
+        certified, reference = FixedLearner(np.ones(n)), FixedLearner(np.ones(n))
+        for learner in (certified, reference):
+            learner.R, learner.C = R, C
+        np.testing.assert_array_equal(reference.predict(), np.full(n, 1.0 / n))
+        for _ in range(3):
+            certified_round_pair(certified, reference, rng.uniform(0.0, 1.0, n))
+
+    @pytest.mark.parametrize("adversary", [None, hit_the_favourite])
+    def test_play_tv_learner(self, adversary):
+        n, t_len = 10, 300
+        losses = gen_adversarial(n, t_len, 12).losses
+        rec = play(TvLearner(n), t_len if adversary else losses, adversary=adversary, certificates=True)
+        reference, records = TvLearner(n), []
+        for t in range(t_len):
+            lvec = losses[t] if adversary is None else hit_the_favourite(t, reference.predict())
+            records.append((reference.update(lvec), *reference.certify()))
+        assert reference.n_sleeping >= 2048
+        expected = np.array(records).T
+        assert rec.player_losses.tobytes() == expected[0].tobytes()
+        assert rec.potential_sums.tobytes() == expected[1].tobytes()
+        assert rec.certificates.tobytes() == expected[2].tobytes()
+
+    def test_bank_rows_with_confidences(self):
+        # a call on some rows, with confidences, certifies those rows as certify(rows) does
+        rng = np.random.default_rng(3)
+        banks = ExpertBank(), ExpertBank()
+        for bank in banks:
+            bank.add(np.linspace(0.5, 1.5, 12))
+        for _ in range(40):
+            rows = np.flatnonzero(rng.random(12) < 0.6)
+            conf, losses = rng.uniform(0.1, 1.0, (2, rows.size))
+            got = banks[0].update(losses, rows, conf, certify=True)
+            expected = (banks[1].update(losses, rows, conf), *banks[1].certify(rows))
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+            assert banks[0].R.tobytes() == banks[1].R.tobytes() and banks[0].C.tobytes() == banks[1].C.tobytes()
+
+    def test_d0_rejects_certify_and_keeps_the_state(self):
+        learner = FixedLearner(np.full(3, 1.0 / 3), PotentialParams(0.0))
+        learner.update([0.2, 0.7, 0.4])
+        R, C, t = learner.R.tobytes(), learner.C.tobytes(), learner.t
+        with pytest.raises(ValueError, match="d = 1"):
+            learner.update([0.9, 0.1, 0.5], certify=True)
+        assert (learner.R.tobytes(), learner.C.tobytes(), learner.t) == (R, C, t)
