@@ -7,9 +7,11 @@ BASE_SRC and NEW_SRC are `src/` directories (for example of a checkout of
 the parent commit and of the working tree).  Each config of a fixed matrix
 runs once against each tree, in a fresh interpreter with ANH_THREADS=1.
 The matrix covers the tree scenario with squared and absolute loss, the
-adversarial, stochastic and shifting scenarios with ada, dt, hedge and tv, and
-one shifting run whose --config file overrides its flags with the singular
-"algo" and "seed" keys and an integral-float "n".  Tree fixtures and the config
+adversarial, stochastic and shifting scenarios with ada, dt, hedge and tv,
+one adversarial run of ada, dt and hedge over five seeds listed out of order
+(each plays as one group of five seeds since seed batching), and one shifting
+run whose --config file overrides its flags with the singular "algo" and
+"seed" keys and an integral-float "n".  Tree fixtures and the config
 file are made once, with BASE_SRC, and shared by both trees.
 
 Prints the first differing file and line of every config that differs and
@@ -55,6 +57,9 @@ def matrix(work: Path) -> dict[str, list[str]]:
                 "--tree", str(work / name / "tree.json"), "--data", str(work / name / "data.csv"),
             ]
     configs["adversarial"] = ["--scenario", "adversarial", "--algo", ALGOS, "--n", "5", "--t", "400", "--seeds", "2"]
+    configs["adversarial-groups"] = [
+        "--scenario", "adversarial", "--algo", "ada,dt,hedge", "--n", "10", "--t", "1000", "--seed", "9,2,5,0,7",
+    ]
     configs["stochastic"] = [
         "--scenario", "stochastic", "--algo", ALGOS, "--n", "10", "--t", "1500", "--alpha", "0.2", "--mu", "0.3",
         "--seed", "0,7",

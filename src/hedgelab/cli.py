@@ -12,8 +12,11 @@ dict that validate_config casts once; ALGORITHMS is the one table of what a run
 knows of an algorithm; learners, bounds and the violation rule live elsewhere.
 
 Runs are deterministic: the same config and seeds produce byte-identical
-outputs.  Seeds x algorithms fan out to a process pool capped by the
-ANH_THREADS environment variable (default: one process per CPU).
+outputs.  A seed-batched algorithm (ada, dt, hedge) plays the seeds of a run
+in lockstep, in as few task groups as keep every pool worker busy and each
+group's losses within _GROUP_BYTES; tv and tree runs make one group per seed.
+The groups fan out to a process pool capped by the ANH_THREADS environment
+variable (default: one process per CPU).
 
 Exit codes: 0 ok; 1 a selfcheck row failed, or a run task raised (each
 failed task is named on stderr and listed under "failed_tasks" in
@@ -45,6 +48,7 @@ from .lab import (
     TRACE_COLUMNS,
     HedgeLearner,
     LossTrace,
+    RunRecord,
     count_violations,
     gen_adversarial,
     gen_shifting,
@@ -53,23 +57,26 @@ from .lab import (
     play,
     quantile_competitor,
 )
-from .potential import PotentialParams, bound_coefficient, competitor_bound
+from .potential import _GATHER_MIN_SIZE, PotentialParams, bound_coefficient, competitor_bound
 from .tree import TreeLearner, absolute_loss, best_pruning, load_tree, load_tree_data, squared_loss
 
 
 class Algorithm(NamedTuple):
     """What a run needs to know of one algorithm."""
 
-    learner: Callable  # N -> a fresh learner over N experts
+    learner: Callable  # N -> a fresh learner over N experts; (N, seeds=S) -> one over S seeds, if seed-batched
     prior_terms: Callable | None = None  # the bound column's (N, T) -> (ln 1/q, N registered); None: no cap
     segments_bound: Callable | None = None  # certificate sum of a K-segment competitor, if any
     max_t: float = math.inf  # the longest run allowed
+    seed_batched: bool = False  # plays seeds of a run in lockstep (see _groups)
 
 
 ALGORITHMS = {
-    "ada": Algorithm(lambda n: FixedLearner(np.full(n, 1.0 / n)), lambda n, t: (math.log(n), n)),
-    "dt": Algorithm(lambda n: FixedLearner(np.full(n, 1.0 / n), PotentialParams(0.0))),
-    "hedge": Algorithm(HedgeLearner),
+    "ada": Algorithm(lambda n, seeds=None: FixedLearner(np.full(n, 1.0 / n), seeds=seeds),
+                     lambda n, t: (math.log(n), n), seed_batched=True),
+    "dt": Algorithm(lambda n, seeds=None: FixedLearner(np.full(n, 1.0 / n), PotentialParams(0.0), seeds),
+                    seed_batched=True),
+    "hedge": Algorithm(HedgeLearner, seed_batched=True),
     "tv": Algorithm(TvLearner, tv_point_mass_terms, segments_bound, max_t=20000),  # state grows as N*t
 }
 SCENARIOS = ("adversarial", "stochastic", "shifting", "tree")
@@ -242,10 +249,13 @@ def _write_trace(path: Path, algo: str, columns) -> None:
 
 
 def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
-    trace = generate_trace(cfg, seed)
     algorithm = ALGORITHMS[algo]
     certified = algorithm.prior_terms is not None
-    rec = play(algorithm.learner(cfg["n"]), trace.losses, certificates=certified)
+    if "played" in cfg:  # this seed's trace and record from its group's lockstep play
+        trace, rec = cfg["played"]
+    else:
+        trace = generate_trace(cfg, seed)
+        rec = play(algorithm.learner(cfg["n"]), trace.losses, certificates=certified)
     t_len, n = trace.losses.shape
     cum_p = rec.cum_player
     cum_l = np.cumsum(trace.losses, axis=0)
@@ -349,6 +359,71 @@ def _run_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
     return _expert_task(cfg, algo, seed, out_dir)
 
 
+# A lockstep chunk's (T, S, N) losses stay within this many bytes, unless one
+# seed's alone exceed it: 5 seeds of the paper's T = 10,000, N = 10 runs fit.
+_GROUP_BYTES = 1 << 24
+
+
+def _groups(cfg: dict, workers: int) -> list[tuple[str, list[int]]]:
+    """The (algorithm, seeds) task groups of a run, in task order.
+
+    A seed-batched algorithm with N < _GATHER_MIN_SIZE, where its bank never
+    gathers, plays its seeds in lockstep chunks: serially a lockstep round of
+    2 to 8 seeds beat as many separate rounds at every N from 10 to 2,047.
+    Its seeds split into the fewest contiguous chunks that keep each chunk's
+    losses within _GROUP_BYTES and give the run at least `workers` groups,
+    so the pool never idles a worker the run had tasks for.  Every other
+    algorithm runs one group per seed.
+    """
+    algos, seeds, S = cfg["algos"], cfg["seeds"], len(cfg["seeds"])
+    lockstep = cfg["scenario"] != "tree" and cfg["n"] < _GATHER_MIN_SIZE
+    batched = [a for a in algos if lockstep and ALGORITHMS[a].seed_batched]
+    chunks = S
+    if batched:
+        chunks = -(-S // max(1, _GROUP_BYTES // (cfg["t"] * cfg["n"] * 8)))  # ceil(S / seeds per budget)
+        while (len(algos) - len(batched)) * S + len(batched) * chunks < workers:
+            chunks += 1  # ends by chunks = S, since workers never exceeds len(algos) * S
+    groups = []
+    for algo in algos:
+        k = chunks if algo in batched else S
+        groups += [(algo, seeds[i * S // k : (i + 1) * S // k]) for i in range(k)]
+    return groups
+
+
+def _play_group(cfg: dict, algo: str, seeds: list[int]) -> list[tuple[LossTrace, RunRecord]]:
+    """Each seed's trace and record, from one learner that plays the seeds in lockstep."""
+    algorithm = ALGORITHMS[algo]
+    traces, losses = [], None
+    for k, seed in enumerate(seeds):  # each seed's losses into column k of one (T, S, N) array, held once
+        trace = generate_trace(cfg, seed)
+        if losses is None:
+            losses = np.empty((trace.T, len(seeds), trace.N))
+        losses[:, k], trace.losses = trace.losses, losses[:, k]
+        traces.append(trace)
+    learner = algorithm.learner(cfg["n"], seeds=len(seeds))
+    return list(zip(traces, play(learner, losses, certificates=algorithm.prior_terms is not None)))
+
+
+def _run_group(run_task: Callable, cfg: dict, algo: str, seeds: list[int], out_dir: str) -> list[tuple]:
+    """run_task(cfg, algo, seed, out_dir) for each seed of a group, after the
+    group's lockstep play when it has more than one seed: each call finds its
+    seed's played trace and record under "played" in its own copy of cfg.  If
+    the lockstep play raises, each seed plays alone, so only a seed that fails
+    by itself fails.  Returns per seed (summary, None) or (None, (error line,
+    formatted traceback))."""
+    try:
+        played = _play_group(cfg, algo, seeds) if len(seeds) > 1 else []
+    except Exception:  # each seed then plays alone, and only a seed that fails by itself fails
+        played = []
+    outcomes = []
+    for k, seed in enumerate(seeds):
+        try:
+            outcomes.append((run_task(dict(cfg, played=played[k]) if played else cfg, algo, seed, out_dir), None))
+        except Exception as exc:
+            outcomes.append((None, (f"{type(exc).__name__}: {exc}", traceback.format_exc())))
+    return outcomes
+
+
 def _worker_count(n_tasks: int) -> int:
     env = os.environ.get("ANH_THREADS", "").strip()
     cap = _cast("ANH_THREADS", env, integer) if env else os.cpu_count() or 1
@@ -358,8 +433,8 @@ def _worker_count(n_tasks: int) -> int:
 
 
 def run(cfg: dict) -> int:
-    tasks = [(algo, seed) for algo in cfg["algos"] for seed in cfg["seeds"]]
-    workers = _worker_count(len(tasks))  # a bad ANH_THREADS raises before the output directory exists
+    workers = _worker_count(len(cfg["algos"]) * len(cfg["seeds"]))  # a bad ANH_THREADS raises before mkdir
+    groups = _groups(cfg, workers)
     task_cfg = _parse_tree_files(cfg) if cfg["scenario"] == "tree" else cfg
     out_dir = Path(cfg["out"])
     try:
@@ -368,21 +443,28 @@ def run(cfg: dict) -> int:
         raise ConfigError(f"cannot create output directory {cfg['out']!r}: {type(exc).__name__}: {exc}") from None
     results, failed = [], []
 
-    def collect(algo: str, seed: int, result) -> None:
+    def collect(algo: str, seeds: list[int], outcomes) -> None:
         try:
-            results.append(result())
-        except Exception as exc:
-            traceback.print_exc()  # in the pool, with the worker's traceback chained as its cause
-            failed.append({"algo": algo, "seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+            outcomes = outcomes()
+        except Exception as exc:  # the pool failed the whole group
+            traceback.print_exc()
+            outcomes = [(None, (f"{type(exc).__name__}: {exc}", ""))] * len(seeds)
+        for seed, (summary, failure) in zip(seeds, outcomes):
+            if failure is None:
+                results.append(summary)
+            else:
+                sys.stderr.write(failure[1])
+                failed.append({"algo": algo, "seed": seed, "error": failure[0]})
 
+    # _run_task is passed as resolved here, so that a worker runs the same one
     if workers == 1:
-        for algo, seed in tasks:
-            collect(algo, seed, lambda: _run_task(task_cfg, algo, seed, str(out_dir)))
+        for algo, seeds in groups:
+            collect(algo, seeds, lambda: _run_group(_run_task, task_cfg, algo, seeds, str(out_dir)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_task, task_cfg, algo, seed, str(out_dir)) for algo, seed in tasks]
-            for (algo, seed), future in zip(tasks, futures):
-                collect(algo, seed, future.result)
+            futures = [pool.submit(_run_group, _run_task, task_cfg, *group, str(out_dir)) for group in groups]
+            for (algo, seeds), future in zip(groups, futures):
+                collect(algo, seeds, future.result)
     results.sort(key=lambda r: (r["algo"], r["seed"]))
 
     aggregates: dict[str, dict] = {}

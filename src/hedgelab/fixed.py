@@ -53,12 +53,21 @@ class FixedLearner(BankCertificates):
     once at construction and never changes (predictions are invariant to the
     overall scale of the prior).  d=0 gives the round-counting variant whose
     accumulator is simply the round index.
+
+    seeds=S plays S seeds in lockstep under the one prior, each with the bits
+    of a learner of its own: R, C, predict() and the losses are (S, N), and
+    update() and the certify surface give one value per seed.  The regret
+    bounds are for a learner of one seed.
     """
 
-    def __init__(self, prior, params: PotentialParams | None = None):
-        self._bank = ExpertBank(params)
+    def __init__(self, prior, params: PotentialParams | None = None, seeds: int | None = None):
+        self._bank = ExpertBank(params, seeds=seeds)
         self._bank.add(_as_prob_vector(prior, name="prior"))
         self.t = 0
+
+    @property
+    def seeds(self) -> int | None:
+        return self._bank.seeds
 
     @property
     def n_experts(self) -> int:
@@ -99,14 +108,14 @@ class FixedLearner(BankCertificates):
         (d = 1 only) return (player loss, *certify()) of the new state, the
         bits of update() then certify() from one pass over the experts.
         """
-        out = self._bank.update(check_losses(losses, self.n_experts), certify=certify)
+        out = self._bank.update(check_losses(losses, self.R.shape), certify=certify)
         self.t += 1
         return out
 
     def bound_coefficient(self, u) -> float:
         """A(u) = 3 * (RE(u||q) + ln B + ln(1 + ln N)) for competitor u."""
         u = _as_prob_vector(u, self.n_experts, name="competitor")
-        return float(bound_coefficient(relative_entropy(u, self.q), self.certificate(), self.n_experts))
+        return float(bound_coefficient(relative_entropy(u, self.q), self._seed_cap(), self.n_experts))
 
     def regret_bound(self, u) -> float:
         """Anytime regret bound competitor_bound(u . C, A(u)) for any competitor distribution u.
@@ -129,5 +138,11 @@ class FixedLearner(BankCertificates):
         return self._regret_bound(u, None)
 
     def _regret_bound(self, u: np.ndarray, n: int | None) -> float:
-        a = bound_coefficient(relative_entropy(u, self.q), self.certificate(), n)
+        a = bound_coefficient(relative_entropy(u, self.q), self._seed_cap(), n)
         return float(competitor_bound(dot(u, self.C), a))
+
+    def _seed_cap(self) -> float:
+        """certificate() of a learner of one seed, which the regret bounds are for."""
+        if self.seeds is not None:
+            raise ValueError("regret bounds are for a learner of one seed, not a seed-batched one")
+        return self.certificate()

@@ -11,20 +11,12 @@ The copies are rows of the expert bank that SleepingRegistry also uses, in
 birth order (row (tau-1)*N + i holds the copy of expert i born at tau), and
 every copy's (R, C) is updated every round: O(N*t) time per round and O(N*T)
 memory, so harness runs cap T around 20k.  A certified round,
-update(losses, certify=True), costs about a dozen passes over the N*t rows
-and scans once: the losses repeated over the copies, the player loss by
-potential.dot, the one scan for the live copies and the sum of the
-unnormalized weights, the (R, C) update, and for the certificate
-1 + ln(1 + C) of every copy, the prior sum and two more potential.dot calls,
-whose bits do not depend on the BLAS thread count.  The certificate finds
-the copies with R > 0 among the live copies the prediction gathered, since
-no regret step exceeds 1.  It allocates no array of that length, but the
-potentials when more than a quarter of the copies have R > 0.  Only the live
-copies (R > -1) cost an exp, because every other copy's weight is exactly
-zero: 94% of the copies are dead at the end of a 1500-round shifting run with
-N=10, 57% after 1500 i.i.d. uniform rounds.  Because the learner shares the
-bank, driving a registry with birth-scheduled ids reproduces its outputs bit
-for bit.
+update(losses, certify=True), makes the passes over the N*t copies that the
+ExpertBank docstring lists.  Only the live copies (R > -1) cost an exp,
+because every other copy's weight is exactly zero: 94% of the copies are dead
+at the end of a 1500-round shifting run with N=10, 57% after 1500 i.i.d.
+uniform rounds.  Because the learner shares the bank, driving a registry with
+birth-scheduled ids reproduces its outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -104,18 +96,17 @@ class TvLearner(BankCertificates):
 # ---------------------------------------------------------------------------
 
 
-def _interval_trace(player_losses, losses, t1: int, t2: int, i: int):
-    """The checked trace arrays, rejecting rounds outside 1 <= t1 <= t2 <= T and an expert outside [0, N)."""
-    player_losses, losses = check_trace(player_losses, losses)
-    T, N = losses.shape
+def _check_interval(shape, t1: int, t2: int, i: int) -> None:
+    """Reject rounds outside 1 <= t1 <= t2 <= T and an expert outside [0, N) of a (T, N) trace."""
+    T, N = shape
     if not (1 <= t1 <= t2 <= T and 0 <= i < N):
         raise ValueError(f"need 1 <= t1 <= t2 <= {T} and 0 <= i < {N}, got t1={t1}, t2={t2}, i={i}")
-    return player_losses, losses
 
 
 def adaptive_regret(player_losses, losses, t1: int, t2: int, i: int) -> float:
     """Regret to expert i over rounds t1..t2 inclusive (1-based)."""
-    player_losses, losses = _interval_trace(player_losses, losses, t1, t2, i)
+    player_losses, losses = check_trace(player_losses, losses)
+    _check_interval(losses.shape, t1, t2, i)
     return float(np.sum(player_losses[t1 - 1 : t2] - losses[t1 - 1 : t2, i]))
 
 
@@ -167,19 +158,25 @@ def interval_bound(player_losses, losses, t1: int, t2: int, i: int) -> float:
     ln(1 + ln(N*t2))), where q_(t1) is the normalized 1/t1^2 prior over the
     N*t2 copies alive at t2 and B' is their potential-sum cap.
     """
-    player_losses, losses = _interval_trace(player_losses, losses, t1, t2, i)
-    pref_a = _abs_prefix(player_losses, losses)
-    qtau, zeta = tv_prior(losses.shape[0])
+    player_losses, losses = check_trace(player_losses, losses)
+    return _interval_bound(_abs_prefix(player_losses, losses), *tv_prior(losses.shape[0]), losses.shape, t1, t2, i)
+
+
+def _interval_bound(pref_a, qtau, zeta, shape, t1: int, t2: int, i: int) -> float:
+    """interval_bound of a (T, N) trace from its _abs_prefix and tv_prior(T)."""
+    _check_interval(shape, t1, t2, i)
     # math.log, not np.log: the two differ in the last bit at some t1 (9170, for one)
-    bounds = _interval_bounds(pref_a, qtau, zeta, t2, losses.shape[1], slice(t1 - 1, t1), np.array([math.log(t1)]))
+    bounds = _interval_bounds(pref_a, qtau, zeta, t2, shape[1], slice(t1 - 1, t1), np.array([math.log(t1)]))
     return float(bounds[0, i])
 
 
 def segments_bound(player_losses, losses, boundaries, experts) -> float:
     """Sum of the interval certificates of a segmented competitor that plays
     experts[j] over rounds boundaries[j] + 1 .. boundaries[j + 1]."""
+    player_losses, losses = check_trace(player_losses, losses)
+    pref_a, (qtau, zeta) = _abs_prefix(player_losses, losses), tv_prior(losses.shape[0])
     segments = zip(zip(boundaries[:-1], boundaries[1:]), experts, strict=True)
-    return float(sum(interval_bound(player_losses, losses, a + 1, b, i) for (a, b), i in segments))
+    return float(sum(_interval_bound(pref_a, qtau, zeta, losses.shape, a + 1, b, i) for (a, b), i in segments))
 
 
 def check_all_interval_bounds(player_losses, losses, rel_tol: float = 1e-9):

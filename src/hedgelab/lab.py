@@ -18,7 +18,7 @@ import numpy as np
 
 from .fixed import FixedLearner
 from .interval import TvLearner
-from .potential import check_losses, check_trace
+from .potential import check_losses, check_seeds, check_trace, dot
 
 __all__ = [
     "STREAM_LOSSES",
@@ -314,31 +314,37 @@ def default_eta_schedule(n: int) -> Callable[[int], float]:
 
 
 class HedgeLearner:
-    """Exponential weights: p_{t,i} proportional to q_i exp(-eta_t L_{t-1,i})."""
+    """Exponential weights: p_{t,i} proportional to q_i exp(-eta_t L_{t-1,i}).
 
-    def __init__(self, n: int, eta_schedule: Callable[[int], float] | None = None):
+    seeds=S plays S seeds in lockstep, each with the bits of a learner of its
+    own: L, predict() and the losses are (S, N), and update() returns the S
+    player losses.  The learning rate depends only on t, which they share.
+    """
+
+    def __init__(self, n: int, eta_schedule: Callable[[int], float] | None = None, seeds: int | None = None):
         if n < 1 or n != int(n):
             raise ValueError(f"need a whole number of experts, at least one, got {n}")
         self.n = int(n)
+        self.seeds = check_seeds(seeds)
         self.q = np.full(self.n, 1.0 / self.n)
         self.eta_schedule = eta_schedule if eta_schedule is not None else default_eta_schedule(self.n)
-        self.L = np.zeros(self.n)
+        self.L = np.zeros(self.n if seeds is None else (self.seeds, self.n))
         self.t = 0
 
     def predict(self) -> np.ndarray:
         if self.n == 1:
-            return np.ones(1)
+            return np.ones(self.L.shape)
         eta = float(self.eta_schedule(self.t + 1))
         if not (eta > 0.0 and math.isfinite(eta)):
             raise ValueError(f"learning rate must be positive, got {eta} at round {self.t + 1}")
-        scores = -eta * (self.L - self.L.min())
+        scores = -eta * (self.L - self.L.min(axis=-1, keepdims=True))  # per seed when seed-batched
         w = self.q * np.exp(scores)
-        return w / w.sum()
+        return w / w.sum(axis=-1, keepdims=True)
 
-    def update(self, losses) -> float:
-        losses = check_losses(losses, self.n)
+    def update(self, losses):
+        losses = check_losses(losses, self.L.shape)
         p = self.predict()
-        player_loss = float(np.dot(p, losses))
+        player_loss = float(np.dot(p, losses)) if self.seeds is None else dot(p, losses)
         self.L += losses
         self.t += 1
         return player_loss
@@ -373,7 +379,7 @@ def count_violations(values, caps, rel_tol: float = 1e-9) -> int:
     return int(np.count_nonzero(np.asarray(values) > np.asarray(caps) * (1.0 + rel_tol)))
 
 
-def play(learner, losses, adversary: Callable | None = None, certificates: bool = False) -> RunRecord:
+def play(learner, losses, adversary: Callable | None = None, certificates: bool = False):
     """Drive a learner through a loss matrix, or an adaptive adversary callback.
 
     losses is a (T, N) matrix; when adversary is given it must be a callable
@@ -384,7 +390,13 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
     certify=True), from one certify() call after update() on other learners
     that have it, or else from potential_sum() and certificate() (learners
     with neither yield None entries).
+
+    A seed-batched learner (seeds=S) plays (T, S, N) losses, with no
+    adversary, and gives back a list of S records, one per seed.
     """
+    seeds = getattr(learner, "seeds", None)
+    if seeds is not None and adversary is not None:
+        raise ValueError("a seed-batched learner plays a loss matrix, not an adversary")
     if adversary is None:
         losses = np.asarray(losses, dtype=float)
         t_len = losses.shape[0]
@@ -400,9 +412,10 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
         step = lambda lvec: learner.update(lvec, certify=True)  # noqa: E731
     elif record:
         step = lambda lvec: (learner.update(lvec), *certify())  # noqa: E731
-    player = np.empty(t_len)
-    pots = np.empty(t_len) if record else None
-    certs = np.empty(t_len) if record else None
+    shape = (t_len,) if seeds is None else (t_len, seeds)
+    player = np.empty(shape)
+    pots = np.empty(shape) if record else None
+    certs = np.empty(shape) if record else None
     rows = []
     for t in range(t_len):
         if adversary is None:
@@ -417,7 +430,11 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
             player[t] = learner.update(lvec)
     if adversary is not None:
         realized = np.vstack(rows)
-    return RunRecord(player, realized, pots, certs)
+    if seeds is None:
+        return RunRecord(player, realized, pots, certs)
+    player, pots, certs = (None if a is None else a.T.copy() for a in (player, pots, certs))  # a row per seed
+    return [RunRecord(player[k], realized[:, k], *(None if a is None else a[k] for a in (pots, certs)))
+            for k in range(seeds)]
 
 
 TRACE_COLUMNS = [

@@ -141,7 +141,7 @@ def _phi_above(R: np.ndarray, C: np.ndarray) -> np.ndarray:
 def _weight(R: np.ndarray, C: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """weight_arr without conversions, by in-place buffer arithmetic on R + 1
     and R - 1 stacked; the interval learner calls it on its live copies
-    (R > -1) every round.  work, when given, is a contiguous (3, R.size)
+    (R > -1) every round.  work, when given, is a contiguous (3, *R.shape)
     buffer to compute in, whose row 1 receives the weights."""
     ab = np.add.outer(_SHIFTS, R, out=None if work is None else work[1:])  # R + (-1) is R - 1 bit for bit
     denom = np.add(C, 1.0, out=None if work is None else work[0])
@@ -158,12 +158,12 @@ def _weight(R: np.ndarray, C: np.ndarray, work: np.ndarray | None = None) -> np.
 _SHIFTS = np.array([1.0, -1.0])
 
 
-def check_losses(losses, n: int | None = None) -> np.ndarray:
+def check_losses(losses, n: int | tuple | None = None) -> np.ndarray:
     """Losses as a float array, rejecting entries outside [0, 1] (NaN included)
-    and, when n is given, any shape other than (n,)."""
+    and, when n is given, any shape other than (n,), or than n for a tuple."""
     losses = np.asarray(losses, dtype=float)
-    if n is not None and losses.shape != (n,):
-        raise ValueError(f"losses must have shape ({n},)")
+    if n is not None and losses.shape != (shape := n if isinstance(n, tuple) else (n,)):
+        raise ValueError(f"losses must have shape {shape}")
     # the min and max over every entry are NaN when an entry is, and NaN compares false
     if losses.size and not (np.minimum.reduce(losses, axis=None) >= 0.0 and np.maximum.reduce(losses, axis=None) <= 1.0):
         raise ValueError("losses must lie in [0, 1]")
@@ -179,15 +179,24 @@ def check_trace(player_losses, losses) -> tuple[np.ndarray, np.ndarray]:
     return player_losses, losses
 
 
+def check_seeds(seeds) -> int | None:
+    """The seed count of a seed-batched learner as an int (None for a learner of
+    one seed, without the seed axis), rejecting any but a whole number >= 1."""
+    if seeds is not None and not (seeds >= 1 and seeds == int(seeds)):
+        raise ValueError(f"seeds must be a whole number, at least one, got {seeds}")
+    return None if seeds is None else int(seeds)
+
+
 def potential_cap(q: np.ndarray, C: np.ndarray) -> float:
     """Cap B = 1 + (3/2) sum_i q_i (1 + ln(1 + C_i)) / sum_i q_i on the
     q-weighted potential sum of experts with priors q and accumulators C."""
     return _cap(q, 1.0 + np.log1p(C), q.sum())
 
 
-def _cap(q: np.ndarray, log_c: np.ndarray, q_sum) -> float:
-    """potential_cap from log_c = 1 + ln(1 + C) and q_sum = q.sum()."""
-    return 1.0 + 1.5 * float(dot(q, log_c) / q_sum)
+def _cap(q: np.ndarray, log_c: np.ndarray, q_sum):
+    """potential_cap from log_c = 1 + ln(1 + C) and q_sum = q.sum(); one per row of a 2-d log_c."""
+    mean = dot(q, log_c) / q_sum
+    return 1.0 + 1.5 * (float(mean) if log_c.ndim == 1 else mean)
 
 
 # OpenBLAS splits a ddot longer than this over its threads, and each thread
@@ -195,13 +204,23 @@ def _cap(q: np.ndarray, log_c: np.ndarray, q_sum) -> float:
 _DOT_CHUNK = 10_000
 
 
-def dot(a: np.ndarray, b: np.ndarray) -> float:
+def dot(a: np.ndarray, b: np.ndarray):
     """a . b of two float vectors, with the same bits at every BLAS thread count.
 
     The sum in order of numpy's dots of consecutive chunks of 10,000 elements,
     OpenBLAS's threading threshold, so no chunk threads; up to 10,000 elements
     it is one call to numpy's dot.  Every dot that can be as long as an
-    ExpertBank goes through it; it allocates nothing of that length."""
+    ExpertBank goes through it; it allocates nothing of that length.
+
+    Given (S, n) rows for a or b, n <= 10,000, it returns the S dots of the
+    rows with the other argument's rows, or with the one vector it is: by
+    matmul's stacked vector products, which have the bits of numpy's dot of
+    each row.  A gemv (rows @ vector) rounds differently."""
+    if a.ndim == 2 or b.ndim == 2:
+        rows, other = (a, b) if a.ndim == 2 else (b, a)
+        if rows.shape[1] > _DOT_CHUNK:
+            raise ValueError(f"one dot per row takes rows of at most {_DOT_CHUNK} elements")
+        return np.matmul(rows[:, None, :], other[:, :, None] if other.ndim == 2 else other[:, None])[:, 0, 0]
     if a.size <= _DOT_CHUNK:
         return float(np.dot(a, b))
     total = 0.0
@@ -244,7 +263,7 @@ def _gather_rows(R: np.ndarray, edge: float, candidates: np.ndarray | None = Non
     the edge, filtered in place of a scan of R."""
     if R.size < _GATHER_MIN_SIZE:
         return None
-    idx = np.flatnonzero(R > edge) if candidates is None else candidates[R[candidates] > edge]
+    idx = (R > edge).ravel().nonzero()[0] if candidates is None else candidates[R[candidates] > edge]
     return idx if 4 * idx.size <= R.size else None
 
 
@@ -296,61 +315,105 @@ class ExpertBank:
     `rows` selects the experts a call acts on: a slice for a contiguous
     block (all by default), an ascending int array for an awake set.
 
+    With seeds=S the bank plays S seeds in lockstep under its one prior: R
+    and C are (S, m), a row per seed; predict and update act on every row,
+    certify on any rows, of every seed, and each gives each seed the bits of
+    a bank of its own.  Its reductions run along the last axis, dot() gives
+    one dot per seed, a seed whose weights are all zero falls back to the
+    prior by itself, and no entry is gathered.
+
     Calls on every row without confidences, as the fixed and interval
     learners make, allocate nothing bank-sized: they compute in the same
     buffer, in the distribution s of a gathered round (a row that is 0
     outside the rows it gathers, and everywhere between calls) and in a
-    contiguous (3, m) work block (weights, losses and regrets, potentials,
-    1 + ln(1 + C)), as certify does on any rows.  A certified round,
-    update(losses, certify=True), scans once for the rows it gathers
-    (_gather_rows): the prediction's rows with R > -1, among which the
-    certificate finds its rows with R > 0.  Weight is exactly 0 where R <= -1
-    and the potential exactly 1 where R <= 0, so gathering changes no bit.
+    contiguous (3, m) work block, (3, S, m) for S seeds (weights, losses and
+    regrets, potentials, 1 + ln(1 + C)), as certify does on any rows.
+
+    A certified round, update(losses, certify=True), scans once and makes
+    about a dozen passes over the m rows:
+      - a block of losses repeated over the rows (the interval learner's
+        copies play their expert's loss);
+      - the one scan, _gather_rows: on a bank of at least 2,048 rows with at
+        most a quarter of them live, the prediction gathers the rows with
+        R > -1 and evaluates the weights (an exp each) only there;
+      - the sum of the unnormalized weights, and the player loss by dot();
+      - the (R, C) update;
+      - the potentials, only on the gathered rows with R > 0, since no round
+        moves R by more than 1;
+      - 1 + ln(1 + C), the prior sum, and dot() for the potential sum and
+        for its cap.
+    Every pass but the gathered evaluations runs over every row in order, and
+    weight is exactly 0 where R <= -1 and the potential exactly 1 where
+    R <= 0, so gathering changes no bit.  The round allocates no array of the
+    bank's length but the potentials, when more than a quarter of the rows
+    have R > 0.
     """
 
-    _ROWS = 7  # q, R, C, s, then three rows of room for the work block
-
-    def __init__(self, params: PotentialParams | None = None, capacity: int = 0):
+    def __init__(self, params: PotentialParams | None = None, capacity: int = 0, seeds: int | None = None):
         self.params = params if params is not None else PotentialParams()
+        self.seeds = check_seeds(seeds)
+        self._S = 1 if seeds is None else self.seeds
         self._grow(capacity)
-        self.q, self.R, self.C, self._s = self._buf[:4, :0]
+        self._view(0)
 
     def _grow(self, capacity: int) -> None:
-        self._buf = np.empty((self._ROWS, capacity))  # written before read: unused capacity stays untouched
-        self._work = self._buf[4:].reshape(-1)  # room for the (3, m) work block
+        # rows: q, then R and C (S rows each), s, then 3S rows of room for the work block
+        self._buf = np.empty((2 + 5 * self._S, capacity))  # written before read: unused capacity stays untouched
+        self._work = self._buf[2 + 2 * self._S :].reshape(-1)  # room for the (3, S, m) work block
+
+    def _view(self, end: int) -> None:
+        """The row views of the first `end` entries, and the work block of every row."""
+        S, buf = self._S, self._buf
+        if self.seeds is None:
+            self.q, self.R, self.C, self._s = buf[0, :end], buf[1, :end], buf[2, :end], buf[3, :end]
+            self._block = self._work[: 3 * end].reshape(3, end)
+        else:
+            self.q, self._s = buf[0, :end], buf[1 + 2 * S, :end]
+            self.R, self.C = buf[1 : 1 + S, :end], buf[1 + S : 1 + 2 * S, :end]
+            self._block = self._work[: 3 * S * end].reshape(3, S, end)
 
     def add(self, priors) -> None:
         """Register one fresh row (R = C = 0) per prior weight, in order."""
         priors = np.asarray(priors, dtype=float)
         start, end = self.q.size, self.q.size + priors.size
+        kept = 2 + 2 * self._S  # q, R, C and s
         if end > self._buf.shape[1]:
             old = self._buf
             self._grow(max(end, 2 * old.shape[1]))
-            self._buf[:4, :start] = old[:4, :start]
-        buf = self._buf
-        buf[0, start:end] = priors
-        buf[1:4, start:end] = 0.0  # R, C and s
-        self.q, self.R, self.C, self._s = buf[0, :end], buf[1, :end], buf[2, :end], buf[3, :end]
+            self._buf[:kept, :start] = old[:kept, :start]
+        self._buf[0, start:end] = priors
+        self._buf[1:kept, start:end] = 0.0
+        self._view(end)
 
     def _whole(self, rows, conf) -> bool:
-        """Whether a call acts on every row, without confidences."""
-        return conf is None and isinstance(rows, slice) and rows.indices(self.q.size) == (0, self.q.size, 1)
+        """Whether a call acts on every row, without confidences; a seed-batched bank makes no other call."""
+        whole = conf is None and isinstance(rows, slice) and rows.indices(self.q.size) == (0, self.q.size, 1)
+        if not whole and self.seeds is not None:
+            raise ValueError("a seed-batched bank acts on every row, without confidences")
+        return whole
 
     def _distribution(self) -> tuple[np.ndarray, np.ndarray | None]:
         """predict() on every row, in s or in row 1 of the work block, and the
         rows of s to clear once it has been used (None for none)."""
-        q, R, C, m = self.q, self.R, self.C, self.q.size
-        live = _gather_rows(R, -1.0)  # weight is exactly 0 for R <= -1
+        q, R, C = self.q, self.R, self.C
+        live = None if self.seeds is not None else _gather_rows(R, -1.0)  # weight is exactly 0 for R <= -1
         if live is None:
-            p = _weight(R, C, self._work[: 3 * m].reshape(3, m))
+            p = _weight(R, C, self._block)
             np.multiply(q, p, out=p)
         else:
             p = self._s
             s_live = q[live] * _weight(R[live], C[live])
             p[live] = s_live
+        if self.seeds is not None:
+            total = p.sum(axis=1)
+            zero = total <= 0.0
+            if zero.any():  # those seeds predict the prior, whose division by 1 changes no bit
+                p[zero], total[zero] = q / q.sum(), 1.0
+            p /= total[:, None]
+            return p, None
         total = p.sum()
         if total <= 0.0:
-            return np.divide(q, q.sum(), out=self._work[m : 2 * m]), live
+            return np.divide(q, q.sum(), out=self._block[1]), live
         if live is None:
             p /= total
         else:
@@ -386,7 +449,8 @@ class ExpertBank:
         A whole-bank round whose prediction gathered the rows with R > -1 finds
         the rows with R > 0 among them, with no scan of its own: |r| <= 1, so
         no other row crosses 0 but by rounding, to within ulps of 0, where the
-        potential is exactly 1 anyway (C >= |R| >= 1 there)."""
+        potential is exactly 1 anyway (C >= |R| >= 1 there).  A seed-batched
+        bank takes (S, m) losses and returns one value of each per seed."""
         if certify:
             self._certifiable()
         live = None
@@ -400,14 +464,14 @@ class ExpertBank:
         else:
             if p is None:
                 p, live = self._distribution()
-            r = self._work[: self.q.size]  # row 0 of the work block, clear of the weights
+            r = self._block[0]  # clear of the weights
             if losses.size != r.size:  # np.tile(losses, r.size // losses.size) by one broadcast copy
                 r.reshape(-1, losses.size)[:] = losses
                 losses = r
             player_loss = dot(p, losses)
             if live is not None:
                 self._s[live] = 0.0
-            np.subtract(player_loss, losses, out=r)
+            np.subtract(player_loss if self.seeds is None else player_loss[:, None], losses, out=r)
             self.R += r
             self.C += np.abs(r, out=r) if self.params.d == 1.0 else self.params.increment(r)
         return (player_loss, *self._certify(rows, live)) if certify else player_loss
@@ -423,16 +487,20 @@ class ExpertBank:
 
     def _certify(self, rows, candidates: np.ndarray | None = None) -> tuple[float, float]:
         """certify(rows); candidates, when given, are ascending rows holding every row with R > 0."""
-        q, R, C = self.q[rows], self.R[rows], self.C[rows]
+        q = self.q[rows]
         m = q.size
         if m == 0:
             return 1.0, 2.5
-        # phi is exactly 1 for R <= 0
-        phi = _evaluate_where(_phi, R, C, 0.0, 1.0, self._work[:m], candidates, _phi_above)
-        log_c = np.log1p(C, out=self._work[m : 2 * m])
+        if self.seeds is None:  # phi is exactly 1 for R <= 0
+            R, C = self.R[rows], self.C[rows]
+            phi = _evaluate_where(_phi, R, C, 0.0, 1.0, self._work[:m], candidates, _phi_above)
+            log_c = np.log1p(C, out=self._work[m : 2 * m])
+        else:
+            R, C = self.R[:, rows], self.C[:, rows]
+            phi, log_c = _phi(R, C), np.log1p(C, out=self._work[: C.size].reshape(C.shape))
         log_c += 1.0
         pot, cap = _certificate(q, phi, log_c, q.sum())
-        return float(pot), float(cap)
+        return (float(pot), float(cap)) if self.seeds is None else (pot, cap)
 
     def potential_sum(self, rows=slice(None)) -> float:
         """Potential sum over the rows, with the prior normalized over them."""

@@ -637,6 +637,75 @@ class TestFailedTasks:
         assert "algo ada seed 1: RuntimeError: seed 1" in err and "algo ada seed 0" not in err
 
 
+class TestSeedGroups:
+    ARGS = ["run", "--scenario", "adversarial", "--algo", "ada", "--n", "4", "--t", "60"]
+
+    def test_a_group_plays_its_seeds_in_one_learner(self, tmp_path, monkeypatch):
+        played = []
+        real = cli.play
+
+        def recording(learner, losses, **kwargs):
+            played.append(getattr(learner, "seeds", None))
+            return real(learner, losses, **kwargs)
+
+        monkeypatch.setattr(cli, "play", recording)
+        args = ["run", "--scenario", "adversarial", "--algo", "tv,dt,hedge", "--n", "4", "--t", "30"]
+        assert run_cli(args + ["--seed", "4,1,3", "--out", str(tmp_path)]) == EXIT_OK
+        assert played == [None, None, None, 3, 3]  # tv per seed, then one lockstep play of each group
+
+    @staticmethod
+    def groups(algos, seeds, workers, n=10, t=1000, scenario="adversarial"):
+        return cli._groups({"algos": algos, "seeds": seeds, "n": n, "t": t, "scenario": scenario}, workers)
+
+    def test_serial_runs_one_group_per_batched_algorithm(self):
+        assert self.groups(["tv", "ada", "hedge"], [0, 1000], 1) == [
+            ("tv", [0]), ("tv", [1000]), ("ada", [0, 1000]), ("hedge", [0, 1000]),
+        ]
+        assert self.groups(["ada"], [5, 2, 9], 1, n=cli._GATHER_MIN_SIZE) == [("ada", [5]), ("ada", [2]), ("ada", [9])]
+
+    def test_groups_split_until_every_worker_has_one(self):
+        seeds = list(range(8))
+        assert self.groups(["ada"], seeds, 8) == [("ada", [s]) for s in seeds]
+        assert self.groups(["ada"], seeds, 3) == [("ada", [0, 1]), ("ada", [2, 3, 4]), ("ada", [5, 6, 7])]
+        # tv's two groups and one of each batched algorithm already fill 4 workers
+        assert len(self.groups(["tv", "ada", "hedge"], [0, 1], 4)) == 4
+        assert len(self.groups(["tv", "ada", "hedge"], [0, 1], 5)) == 6
+
+    def test_a_group_holds_at_most_its_byte_budget_of_losses(self, monkeypatch):
+        monkeypatch.setattr(cli, "_GROUP_BYTES", 2 * 1000 * 10 * 8)  # two seeds' losses
+        assert self.groups(["dt"], [0, 1, 2, 3, 4], 1) == [("dt", [0]), ("dt", [1, 2]), ("dt", [3, 4])]
+        assert self.groups(["dt"], [0, 1, 2], 1, t=3000) == [("dt", [0]), ("dt", [1]), ("dt", [2])]
+
+    def test_split_groups_write_the_bytes_of_one_group(self, tmp_path, monkeypatch):
+        args = ["run", "--scenario", "adversarial", "--algo", "ada,hedge", "--n", "3", "--t", "40", "--seed", "6,1,4"]
+        assert run_cli(args + ["--out", str(tmp_path / "one")]) == EXIT_OK
+        monkeypatch.setattr(cli, "_GROUP_BYTES", 2 * 40 * 3 * 8)
+        assert run_cli(args + ["--out", str(tmp_path / "split")]) == EXIT_OK
+        for name in sorted(p.name for p in (tmp_path / "one").iterdir()):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "split" / name).read_bytes(), name
+
+    def test_a_bad_seed_fails_alone(self, tmp_path, monkeypatch, capsys):
+        real = cli.generate_trace
+
+        def nan_in_seed_1(cfg, seed):
+            trace = real(cfg, seed)
+            if seed == 1:
+                trace.losses[7, 2] = np.nan
+            return trace
+
+        monkeypatch.setattr(cli, "generate_trace", nan_in_seed_1)
+        group, alone = tmp_path / "group", tmp_path / "alone"
+        assert run_cli(self.ARGS + ["--seed", "0,1", "--out", str(group)]) == EXIT_TASK_FAILED
+        assert run_cli(self.ARGS + ["--seed", "0", "--out", str(alone)]) == EXIT_OK
+        summary = json.loads((group / "summary.json").read_text())
+        assert summary["failed_tasks"] == [{"algo": "ada", "seed": 1, "error": "ValueError: losses must lie in [0, 1]"}]
+        assert "algo ada seed 1: ValueError" in capsys.readouterr().err
+        assert not (group / "trace_ada_seed1.csv").exists()
+        assert (group / "trace_ada_seed0.csv").read_bytes() == (alone / "trace_ada_seed0.csv").read_bytes()
+        row = json.loads((alone / "summary.json").read_text())["results"]
+        assert json.dumps(summary["results"]) == json.dumps(row)
+
+
 class TestColdStart:
     def test_run_never_imports_scipy(self, tmp_path, tree_fixture):
         """A run loads no scipy; only the interval-cover LP oracle imports it."""
