@@ -26,7 +26,8 @@ import math
 import numpy as np
 
 from .potential import (
-    BankCertificates, ExpertBank, bound_coefficient, check_losses, check_trace, competitor_bound, potential_cap,
+    BankCertificates, ExpertBank, bound_coefficient, check_count, check_losses, check_trace, competitor_bound,
+    potential_cap,
 )
 
 __all__ = [
@@ -44,9 +45,7 @@ class TvLearner(BankCertificates):
     """Base-expert predictions from per-birth-round sleeping copies (d = 1)."""
 
     def __init__(self, n_base: int, horizon: int | None = None):
-        if n_base < 1 or n_base != int(n_base):
-            raise ValueError(f"need a whole number of base experts, at least one, got {n_base}")
-        self.n = int(n_base)
+        self.n = check_count(n_base, "n_base")
         self.t = 0  # completed rounds
         self._bank = ExpertBank(capacity=(int(horizon) if horizon else 16) * self.n)
 

@@ -16,9 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fixed import FixedLearner
-from .interval import TvLearner
-from .potential import check_losses, check_seeds, check_trace, dot
+from .potential import check_count, check_losses, check_trace, dot
 
 __all__ = [
     "STREAM_LOSSES",
@@ -322,10 +320,8 @@ class HedgeLearner:
     """
 
     def __init__(self, n: int, eta_schedule: Callable[[int], float] | None = None, seeds: int | None = None):
-        if n < 1 or n != int(n):
-            raise ValueError(f"need a whole number of experts, at least one, got {n}")
-        self.n = int(n)
-        self.seeds = check_seeds(seeds)
+        self.n = check_count(n, "n")
+        self.seeds = None if seeds is None else check_count(seeds, "seeds")
         self.q = np.full(self.n, 1.0 / self.n)
         self.eta_schedule = eta_schedule if eta_schedule is not None else default_eta_schedule(self.n)
         self.L = np.zeros(self.n if seeds is None else (self.seeds, self.n))
@@ -344,7 +340,7 @@ class HedgeLearner:
     def update(self, losses):
         losses = check_losses(losses, self.L.shape)
         p = self.predict()
-        player_loss = float(np.dot(p, losses)) if self.seeds is None else dot(p, losses)
+        player_loss = dot(p, losses)
         self.L += losses
         self.t += 1
         return player_loss
@@ -386,10 +382,10 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
     (t, p) -> loss vector and losses is interpreted as the horizon via its
     first dimension (the produced losses are recorded and returned).  With
     certificates=True the per-round potential sum and its cap are recorded:
-    from the fixed and interval learners' certified update(losses,
-    certify=True), from one certify() call after update() on other learners
-    that have it, or else from potential_sum() and certificate() (learners
-    with neither yield None entries).
+    from one certified update(losses, certify=True) on a learner with
+    certify(), such as the fixed and interval learners, or else from
+    update() then potential_sum() and certificate() (learners with neither
+    yield None entries).
 
     A seed-batched learner (seeds=S) plays (T, S, N) losses, with no
     adversary, and gives back a list of S records, one per seed.
@@ -404,14 +400,12 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
     else:
         t_len = int(losses)
         realized = None
-    certify = getattr(learner, "certify", None)
-    if certify is None and hasattr(learner, "potential_sum") and hasattr(learner, "certificate"):
-        certify = lambda: (learner.potential_sum(), learner.certificate())  # noqa: E731
-    record = certificates and certify is not None
-    if record and isinstance(learner, (FixedLearner, TvLearner)):
+    step = None
+    if certificates and hasattr(learner, "certify"):
         step = lambda lvec: learner.update(lvec, certify=True)  # noqa: E731
-    elif record:
-        step = lambda lvec: (learner.update(lvec), *certify())  # noqa: E731
+    elif certificates and hasattr(learner, "potential_sum") and hasattr(learner, "certificate"):
+        step = lambda lvec: (learner.update(lvec), learner.potential_sum(), learner.certificate())  # noqa: E731
+    record = step is not None
     shape = (t_len,) if seeds is None else (t_len, seeds)
     player = np.empty(shape)
     pots = np.empty(shape) if record else None

@@ -10,10 +10,9 @@ any valid update sequence, so the potential exponent is at most C/3: linear
 space only overflows past C ~ 2000, far beyond harness scales.
 
 ExpertBank holds the (prior, R, C) rows that the fixed, sleeping and interval
-learners predict, update and certify through; potential_cap, bound_coefficient,
-competitor_bound, check_losses and check_trace are the cap, the bound and the
-loss and trace checks they share, dot their one dot product of bank length;
-certify_stack certifies saved states and BankCertificates the learners' live rows.
+learners predict, update and certify through.  The potential cap, the regret
+bound, the input checks and the dot product of bank length that they share
+live here too, each once.
 """
 
 from __future__ import annotations
@@ -179,12 +178,12 @@ def check_trace(player_losses, losses) -> tuple[np.ndarray, np.ndarray]:
     return player_losses, losses
 
 
-def check_seeds(seeds) -> int | None:
-    """The seed count of a seed-batched learner as an int (None for a learner of
-    one seed, without the seed axis), rejecting any but a whole number >= 1."""
-    if seeds is not None and not (seeds >= 1 and seeds == int(seeds)):
-        raise ValueError(f"seeds must be a whole number, at least one, got {seeds}")
-    return None if seeds is None else int(seeds)
+def check_count(value, name: str) -> int:
+    """A count, such as of experts or of seeds, as an int, rejecting any but a
+    whole number >= 1 (NaN and inf included) with a message that names it."""
+    if not (value >= 1 and value % 1 == 0):
+        raise ValueError(f"{name} must be a whole number, at least one, got {value}")
+    return int(value)
 
 
 def potential_cap(q: np.ndarray, C: np.ndarray) -> float:
@@ -287,7 +286,10 @@ def _evaluate_where(fn, R, C, edge: float, constant: float, out: np.ndarray | No
 
 def _certificate(q: np.ndarray, phi: np.ndarray, log_c: np.ndarray, q_sum):
     """The potential sum q . phi / q_sum and its cap of one state with potentials
-    phi and log_c = 1 + ln(1 + C), each by one full-length dot()."""
+    phi and log_c = 1 + ln(1 + C), each by one full-length dot(); for no rows,
+    (1, 2.5), those of the empty state."""
+    if not q.size:
+        return 1.0, 2.5
     return dot(q, phi) / q_sum, _cap(q, log_c, q_sum)
 
 
@@ -304,7 +306,7 @@ def certify_stack(q: np.ndarray, R: np.ndarray, C: np.ndarray, sizes) -> np.ndar
     for k, n in enumerate(sizes):
         if n != last:  # a bank only grows, so along a run q is summed once per size
             q_sum, last = q[:n].sum(), n
-        out[:, k] = (*_certificate(q[:n], phi[k, :n], log_c[k, :n], q_sum), q_sum) if n else (1.0, 2.5, q_sum)
+        out[:, k] = (*_certificate(q[:n], phi[k, :n], log_c[k, :n], q_sum), q_sum)
     return out
 
 
@@ -323,11 +325,11 @@ class ExpertBank:
     prior by itself, and no entry is gathered.
 
     Calls on every row without confidences, as the fixed and interval
-    learners make, allocate nothing bank-sized: they compute in the same
-    buffer, in the distribution s of a gathered round (a row that is 0
-    outside the rows it gathers, and everywhere between calls) and in a
-    contiguous (3, m) work block, (3, S, m) for S seeds (weights, losses and
-    regrets, potentials, 1 + ln(1 + C)), as certify does on any rows.
+    learners make, allocate nothing bank-sized: they compute in a contiguous
+    (3, m) work block of the same buffer, (3, S, m) for S seeds (weights,
+    losses and regrets, potentials, 1 + ln(1 + C)), as certify does on any
+    rows.  No call reads the block before writing it, so between calls the
+    bank's state is q, R and C alone.
 
     A certified round, update(losses, certify=True), scans once and makes
     about a dozen passes over the m rows:
@@ -351,32 +353,31 @@ class ExpertBank:
 
     def __init__(self, params: PotentialParams | None = None, capacity: int = 0, seeds: int | None = None):
         self.params = params if params is not None else PotentialParams()
-        self.seeds = check_seeds(seeds)
+        self.seeds = None if seeds is None else check_count(seeds, "seeds")
         self._S = 1 if seeds is None else self.seeds
         self._grow(capacity)
         self._view(0)
 
     def _grow(self, capacity: int) -> None:
-        # rows: q, then R and C (S rows each), s, then 3S rows of room for the work block
-        self._buf = np.empty((2 + 5 * self._S, capacity))  # written before read: unused capacity stays untouched
-        self._work = self._buf[2 + 2 * self._S :].reshape(-1)  # room for the (3, S, m) work block
+        # rows: q, then R and C (S rows each), then 3S rows of room for the work block
+        self._buf = np.empty((1 + 5 * self._S, capacity))  # written before read: unused capacity stays untouched
+        self._work = self._buf[1 + 2 * self._S :].reshape(-1)  # room for the (3, S, m) work block
 
     def _view(self, end: int) -> None:
         """The row views of the first `end` entries, and the work block of every row."""
         S, buf = self._S, self._buf
         if self.seeds is None:
-            self.q, self.R, self.C, self._s = buf[0, :end], buf[1, :end], buf[2, :end], buf[3, :end]
+            self.q, self.R, self.C = buf[0, :end], buf[1, :end], buf[2, :end]
             self._block = self._work[: 3 * end].reshape(3, end)
         else:
-            self.q, self._s = buf[0, :end], buf[1 + 2 * S, :end]
-            self.R, self.C = buf[1 : 1 + S, :end], buf[1 + S : 1 + 2 * S, :end]
+            self.q, self.R, self.C = buf[0, :end], buf[1 : 1 + S, :end], buf[1 + S : 1 + 2 * S, :end]
             self._block = self._work[: 3 * S * end].reshape(3, S, end)
 
     def add(self, priors) -> None:
         """Register one fresh row (R = C = 0) per prior weight, in order."""
         priors = np.asarray(priors, dtype=float)
         start, end = self.q.size, self.q.size + priors.size
-        kept = 2 + 2 * self._S  # q, R, C and s
+        kept = 1 + 2 * self._S  # q, R and C
         if end > self._buf.shape[1]:
             old = self._buf
             self._grow(max(end, 2 * old.shape[1]))
@@ -393,15 +394,16 @@ class ExpertBank:
         return whole
 
     def _distribution(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """predict() on every row, in s or in row 1 of the work block, and the
-        rows of s to clear once it has been used (None for none)."""
+        """predict() on every row, in row 1 of the work block, and the rows it
+        gathered (None for every row)."""
         q, R, C = self.q, self.R, self.C
         live = None if self.seeds is not None else _gather_rows(R, -1.0)  # weight is exactly 0 for R <= -1
         if live is None:
             p = _weight(R, C, self._block)
             np.multiply(q, p, out=p)
         else:
-            p = self._s
+            p = self._block[1]
+            p.fill(0.0)
             s_live = q[live] * _weight(R[live], C[live])
             p[live] = s_live
         if self.seeds is not None:
@@ -424,11 +426,7 @@ class ExpertBank:
         """p proportional to q * conf * weight(R, C) over the rows; when every
         such weight is zero, proportional to q * conf."""
         if self._whole(rows, conf):
-            p, live = self._distribution()
-            p = p.copy()
-            if live is not None:
-                self._s[live] = 0.0
-            return p
+            return self._distribution()[0].copy()
         q = self.q[rows] if conf is None else self.q[rows] * conf
         # weight is exactly 0 for R <= -1
         s = q * _evaluate_where(_weight, self.R[rows], self.C[rows], -1.0, 0.0)
@@ -469,8 +467,6 @@ class ExpertBank:
                 r.reshape(-1, losses.size)[:] = losses
                 losses = r
             player_loss = dot(p, losses)
-            if live is not None:
-                self._s[live] = 0.0
             np.subtract(player_loss if self.seeds is None else player_loss[:, None], losses, out=r)
             self.R += r
             self.C += np.abs(r, out=r) if self.params.d == 1.0 else self.params.increment(r)
@@ -489,8 +485,6 @@ class ExpertBank:
         """certify(rows); candidates, when given, are ascending rows holding every row with R > 0."""
         q = self.q[rows]
         m = q.size
-        if m == 0:
-            return 1.0, 2.5
         if self.seeds is None:  # phi is exactly 1 for R <= 0
             R, C = self.R[rows], self.C[rows]
             phi = _evaluate_where(_phi, R, C, 0.0, 1.0, self._work[:m], candidates, _phi_above)

@@ -752,6 +752,22 @@ class TestBlasThreadCount:
         assert sorted(outs[0]) == ["summary.json", "trace_ada_seed0.csv", "trace_hedge_seed0.csv", "trace_tv_seed0.csv"]
         assert [name for name in outs[0] if outs[0][name] != outs[1][name]] == []
 
+    def test_hedge_past_10000_experts_is_equal_under_one_and_two_blas_threads(self, tmp_path):
+        """hedge and ada runs with 20,000 experts write the same bytes whether
+        OpenBLAS may use 1 thread or 2."""
+        args = ["run", "--scenario", "adversarial", "--algo", "hedge,ada", "--n", "20000", "--t", "50", "--seed", "0"]
+        src = str(Path(hedgelab.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = {**os.environ, "PYTHONPATH": src, "ANH_THREADS": "1", "OPENBLAS_NUM_THREADS": threads}
+            cmd = [sys.executable, "-m", "hedgelab", *args, "--out", str(out)]
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outs[0]) == ["summary.json", "trace_ada_seed0.csv", "trace_hedge_seed0.csv"]
+        assert [name for name in outs[0] if outs[0][name] != outs[1][name]] == []
+
 
 class TestSelfcheck:
     def test_passes_clean(self, capsys):

@@ -443,3 +443,10 @@ class TestHedge:
 def test_fractional_or_empty_expert_count_rejected(learner, n):
     with pytest.raises(ValueError):
         learner(n)
+
+
+@pytest.mark.parametrize(("learner", "name"), [(HedgeLearner, "n"), (TvLearner, "n_base")])
+@pytest.mark.parametrize("n", [0, 1.5, 2.5, math.nan, math.inf])
+def test_expert_count_check_names_the_count(learner, name, n):
+    with pytest.raises(ValueError, match=f"{name} must be a whole number, at least one, got {n}"):
+        learner(n)

@@ -345,7 +345,7 @@ class TestCompetitorBound:
 class TestGatheredSubsets:
     def test_gathered_awake_rows_match_dense_formula(self):
         # 3,000 awake rows of 6,000 with about 6% live: predict, update and certify
-        # gather on the awake rows and leave the bank's scratch row s clear
+        # gather on the awake rows
         rng = np.random.default_rng(1)
         n = 6000
         q = rng.uniform(0.1, 1.0, n)
@@ -364,6 +364,5 @@ class TestGatheredSubsets:
             r = player_loss - losses if conf is None else conf * (player_loss - losses)
             np.testing.assert_array_equal(bank.R[rows], R[rows] + r)
             np.testing.assert_array_equal(bank.C[rows], C[rows] + np.abs(r))
-            assert not bank._s.any()
             Rn, Cn = bank.R[rows], bank.C[rows]
             assert bank.potential_sum(rows) == float(np.dot(q[rows], phi_arr(Rn, Cn)) / q[rows].sum())
