@@ -13,11 +13,12 @@ parent's and this checkout's medians, their quartiles, and in how many pairs
 this checkout did better (ties count for neither).  Nothing under bench/
 changes; each run works in its own checkout's .bench_work/.
 
-With --label, also runs `bench/run.py --trace 1` once per workload in each
-checkout (first seed) and writes BENCH_<LABEL>.json at the root of this
-checkout: the environment each side reported, every run's end-to-end values
-with both sides' medians, quartiles and win counts, and the per-layer
-metrics of the traced runs.
+With --label, also runs `bench/run.py --trace 1` three times per workload in
+each checkout (first seed), alternating which checkout runs first, and
+writes BENCH_<LABEL>.json at the root of this checkout: the environment each
+side reported, every run's end-to-end values with both sides' medians,
+quartiles and win counts, and each per-layer metric as the median of the
+three traced runs of each side, next to the three values.
 
 Exits 1 when any run failed or read `correct: false`.
 """
@@ -33,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TRACED_RUNS = 3  # per side and workload; one traced pair cannot resolve a per-layer change of a few percent
 
 
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -127,15 +129,24 @@ def main(argv=None) -> int:
                       f"change {row['relative_change']:+.1%}, change better in {row['change_better']} "
                       f"of {row['pairs']} pairs", flush=True)
         if args.label:
+            traced: dict[str, list[dict]] = {"parent": [], "change": []}
+            for run in range(TRACED_RUNS):
+                for side in SIDES if run % 2 == 0 else SIDES[::-1]:
+                    result = bench_once(checkouts[side], workload, args.seeds[0], args.seconds, trace=1)
+                    ok = ok and result["rc"] == 0 and result["correct"]
+                    traced[side].append(result)
+                    print(f"{workload} traced run {run + 1} {side}: correct {result['correct']}", flush=True)
             for side in SIDES:
-                result = bench_once(checkouts[side], workload, args.seeds[0], args.seconds, trace=1)
-                ok = ok and result["rc"] == 0 and result["correct"]
+                values: dict[str, list[float]] = {}
+                for result in traced[side]:
+                    for name, m in result["metrics"].items():
+                        values.setdefault(name, []).append(m["value"])
                 entry["per_layer"][side] = {
                     "seed": args.seeds[0],
-                    "correct": result["correct"],
-                    "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+                    "correct": [r["correct"] for r in traced[side]],
+                    "metrics": {name: statistics.median(v) for name, v in values.items()},
+                    "values": values,
                 }
-                print(f"{workload} traced {side}: correct {result['correct']}", flush=True)
     if args.label:
         path = ROOT / f"BENCH_{args.label}.json"
         path.write_text(json.dumps(record, indent=2) + "\n")

@@ -9,7 +9,9 @@ runs once against each tree, in a fresh interpreter with ANH_THREADS=1.
 The matrix covers the tree scenario with squared and absolute loss, the
 adversarial, stochastic and shifting scenarios with ada, dt, hedge and tv,
 one adversarial run of ada, dt and hedge over five seeds listed out of order
-(each plays as one group of five seeds since seed batching), and one shifting
+(each plays as one group of five seeds since seed batching), one of ada, dt
+and hedge with one expert over 130 rounds (two blocks of 64 rounds and a
+tail, and hedge's one-expert branch), and one shifting
 run whose --config file overrides its flags with the singular "algo" and
 "seed" keys and an integral-float "n".  Tree fixtures and the config
 file are made once, with BASE_SRC, and shared by both trees.
@@ -67,6 +69,9 @@ def matrix(work: Path) -> dict[str, list[str]]:
     configs["shifting"] = [
         "--scenario", "shifting", "--algo", ALGOS, "--n", "10", "--t", "1500", "--k", "3", "--alpha", "0.25",
         "--mu", "0.3", "--seed", "0,1",
+    ]
+    configs["n1-blocks"] = [  # hedge's one-expert branch; two record blocks of 64 rounds and a tail
+        "--scenario", "adversarial", "--algo", "ada,dt,hedge", "--n", "1", "--t", "130", "--seeds", "2",
     ]
     configs["config-file"] = [
         "--scenario", "adversarial", "--algo", "hedge", "--n", "3", "--t", "50", "--seeds", "2",

@@ -57,7 +57,7 @@ from .lab import (
     play,
     quantile_competitor,
 )
-from .potential import _GATHER_MIN_SIZE, PotentialParams, bound_coefficient, competitor_bound
+from .potential import _GATHER_MIN_SIZE, RECORD_BLOCK, PotentialParams, bound_coefficient, competitor_bound
 from .tree import TreeLearner, absolute_loss, best_pruning, load_tree, load_tree_data, squared_loss
 
 
@@ -86,8 +86,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_TASK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_CERTIFICATE_VIOLATION = 3
-
-RECORD_BLOCK = 64  # tree rounds certified in one pass; no record feeds back into the learner
 
 
 class ConfigError(ValueError):

@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 from .potential import (
-    BankCertificates, ExpertBank, PotentialParams, bound_coefficient, check_losses, competitor_bound, dot,
+    RECORD_BLOCK, BankCertificates, ExpertBank, PotentialParams, bound_coefficient, certify_stack, check_losses,
+    competitor_bound, dot,
 )
 
 __all__ = ["FixedLearner", "relative_entropy"]
@@ -111,6 +112,34 @@ class FixedLearner(BankCertificates):
         out = self._bank.update(check_losses(losses, self.R.shape), certify=certify)
         self.t += 1
         return out
+
+    def play_trace(self, losses: np.ndarray, certify: bool = False):
+        """update() on each round of (T, N) losses, (T, S, N) for S seeds, and
+        return the T player losses, (T, S) for S seeds.  With certify=True
+        (d = 1 only) return (player losses, potential sums, caps): those of
+        update(losses, certify=True), bit for bit, from the states after each
+        round, saved RECORD_BLOCK rounds at a time and certified by one
+        certify_stack call per block (no certificate feeds back into the
+        learner)."""
+        if certify:
+            self._bank._certifiable()
+        n, shape = self.n_experts, (losses.shape[0], *self.R.shape[:-1])
+        player = np.empty(shape)
+        if not certify:
+            for t, lvec in enumerate(losses):
+                player[t] = self.update(lvec)
+            return player
+        records = np.empty((2, *shape))  # potential sums and caps
+        R, C = np.empty((2, min(RECORD_BLOCK, shape[0]), *self.R.shape))  # row k: the state after round k
+        for t, lvec in enumerate(losses):
+            player[t] = self.update(lvec)
+            k = t % RECORD_BLOCK
+            R[k], C[k] = self.R, self.C
+            if k == RECORD_BLOCK - 1 or t == shape[0] - 1:
+                states = R[: k + 1].reshape(-1, n), C[: k + 1].reshape(-1, n)  # a row per round and seed
+                stack = certify_stack(self.q, *states, np.full(states[0].shape[0], n))
+                records[:, t - k : t + 1] = stack[:2].reshape(2, k + 1, *shape[1:])
+        return player, *records
 
     def bound_coefficient(self, u) -> float:
         """A(u) = 3 * (RE(u||q) + ln B + ln(1 + ln N)) for competitor u."""

@@ -137,7 +137,7 @@ def tv_point_mass_terms(N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
     return np.log(N * zeta), N * np.arange(1.0, T + 1.0)
 
 
-def _certificate_at(pref_a, qtau, zeta, t2: int, n: int) -> float:
+def _certificate_at(pref_a, qtau, t2: int, n: int) -> float:
     # potential-sum cap over the n*t2 copies alive at the end of round t2
     return potential_cap(np.repeat(qtau[:t2], n), (pref_a[t2][None, :] - pref_a[0:t2]).ravel())
 
@@ -146,7 +146,7 @@ def _interval_bounds(pref_a, qtau, zeta, t2: int, n: int, births: slice, log_t1)
     """Certificates at round t2 of the copies born at rounds t1 = births.start + 1 .. births.stop,
     one row per birth round (log_t1 holds their ln t1) and one column per expert."""
     ln_inv_q = math.log(n * zeta[t2 - 1]) + 2.0 * log_t1
-    cap = _certificate_at(pref_a, qtau, zeta, t2, n)
+    cap = _certificate_at(pref_a, qtau, t2, n)
     return competitor_bound(pref_a[t2][None, :] - pref_a[births], bound_coefficient(ln_inv_q[:, None], cap, n * t2))
 
 

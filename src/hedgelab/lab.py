@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .potential import check_count, check_losses, check_trace, dot
+from .potential import _DOT_CHUNK, RECORD_BLOCK, check_count, check_losses, check_trace, dot
 
 __all__ = [
     "STREAM_LOSSES",
@@ -330,11 +330,18 @@ class HedgeLearner:
     def predict(self) -> np.ndarray:
         if self.n == 1:
             return np.ones(self.L.shape)
-        eta = float(self.eta_schedule(self.t + 1))
+        return self._weights(self.L, self._eta(self.t + 1))
+
+    def _eta(self, t: int) -> float:
+        eta = float(self.eta_schedule(t))
         if not (eta > 0.0 and math.isfinite(eta)):
-            raise ValueError(f"learning rate must be positive, got {eta} at round {self.t + 1}")
-        scores = -eta * (self.L - self.L.min(axis=-1, keepdims=True))  # per seed when seed-batched
-        w = self.q * np.exp(scores)
+            raise ValueError(f"learning rate must be positive, got {eta} at round {t}")
+        return eta
+
+    def _weights(self, L: np.ndarray, eta) -> np.ndarray:
+        """predict() from totals L, one row per seed or round along the leading axes, and
+        learning rates that broadcast against them."""
+        w = self.q * np.exp(-eta * (L - L.min(axis=-1, keepdims=True)))
         return w / w.sum(axis=-1, keepdims=True)
 
     def update(self, losses):
@@ -344,6 +351,35 @@ class HedgeLearner:
         self.L += losses
         self.t += 1
         return player_loss
+
+    def play_trace(self, losses: np.ndarray) -> np.ndarray:
+        """update() on each round of (T, N) losses, (T, S, N) for S seeds, and
+        return the T player losses, (T, S) for S seeds, bit for bit, with one
+        set of numpy calls per RECORD_BLOCK rounds: the totals before each round by
+        np.cumsum from the carried L, the sequential adds of L += losses; each
+        round's learning rate from the schedule and its weights summed along
+        the last axis; the player losses by dot() of each row, one stacked
+        matmul up to 10,000 experts."""
+        player = np.empty((losses.shape[0], *self.L.shape[:-1]))
+        for start in range(0, losses.shape[0], RECORD_BLOCK):
+            player[start : start + RECORD_BLOCK] = self._play_block(losses[start : start + RECORD_BLOCK])
+        return player
+
+    def _play_block(self, losses: np.ndarray):
+        try:
+            check_losses(losses, (losses.shape[0], *self.L.shape))
+            eta = None if self.n == 1 else np.array([self._eta(self.t + 1 + j) for j in range(losses.shape[0])])
+        except ValueError:  # round by round, update() raises at the round and with the message of play()'s loop
+            return [self.update(lvec) for lvec in losses]
+        totals = np.cumsum(np.concatenate((self.L[None], losses)), axis=0)  # L before each round, then after
+        if eta is None:
+            p = np.ones(losses.shape)
+        else:
+            p = self._weights(totals[:-1], eta.reshape(-1, *(1,) * self.L.ndim))
+        player = dot(p, losses) if self.n <= _DOT_CHUNK else [dot(pk, lk) for pk, lk in zip(p, losses)]
+        self.L[...] = totals[-1]
+        self.t += losses.shape[0]
+        return player
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +417,17 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
     losses is a (T, N) matrix; when adversary is given it must be a callable
     (t, p) -> loss vector and losses is interpreted as the horizon via its
     first dimension (the produced losses are recorded and returned).  With
-    certificates=True the per-round potential sum and its cap are recorded:
-    from one certified update(losses, certify=True) on a learner with
-    certify(), such as the fixed and interval learners, or else from
-    update() then potential_sum() and certificate() (learners with neither
-    yield None entries).
+    certificates=True the potential sum after each round and its cap are
+    recorded for a learner with certify(), such as the fixed and interval
+    learners, or else with potential_sum() and certificate() (learners with
+    neither yield None entries).
+
+    A learner with play_trace(), the fixed and hedge learners, is handed a
+    loss matrix whole and plays it with the bits of the round loop: the
+    fixed learner certifies its recorded states in blocks of rounds, and
+    hedge plays a block of rounds per set of numpy calls.  Every other play
+    is a round loop: one update(losses, certify=True) a round on a learner
+    with certify(), else update() then potential_sum() and certificate().
 
     A seed-batched learner (seeds=S) plays (T, S, N) losses, with no
     adversary, and gives back a list of S records, one per seed.
@@ -393,6 +435,24 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
     seeds = getattr(learner, "seeds", None)
     if seeds is not None and adversary is not None:
         raise ValueError("a seed-batched learner plays a loss matrix, not an adversary")
+    certify = certificates and hasattr(learner, "certify")
+    if adversary is None and hasattr(learner, "play_trace"):
+        realized = np.asarray(losses, dtype=float)
+        if certify:
+            player, pots, certs = learner.play_trace(realized, certify=True)
+        else:
+            player, pots, certs = learner.play_trace(realized), None, None
+    else:
+        player, pots, certs, realized = _play_rounds(learner, losses, adversary, certificates)
+    if seeds is None:
+        return RunRecord(player, realized, pots, certs)
+    player, pots, certs = (None if a is None else a.T.copy() for a in (player, pots, certs))  # a row per seed
+    return [RunRecord(player[k], realized[:, k], *(None if a is None else a[k] for a in (pots, certs)))
+            for k in range(seeds)]
+
+
+def _play_rounds(learner, losses, adversary: Callable | None, certificates: bool):
+    """play() round by round: the player losses, potential sums and caps (None unless recorded), and the losses."""
     if adversary is None:
         losses = np.asarray(losses, dtype=float)
         t_len = losses.shape[0]
@@ -406,6 +466,7 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
     elif certificates and hasattr(learner, "potential_sum") and hasattr(learner, "certificate"):
         step = lambda lvec: (learner.update(lvec), learner.potential_sum(), learner.certificate())  # noqa: E731
     record = step is not None
+    seeds = getattr(learner, "seeds", None)
     shape = (t_len,) if seeds is None else (t_len, seeds)
     player = np.empty(shape)
     pots = np.empty(shape) if record else None
@@ -424,11 +485,7 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
             player[t] = learner.update(lvec)
     if adversary is not None:
         realized = np.vstack(rows)
-    if seeds is None:
-        return RunRecord(player, realized, pots, certs)
-    player, pots, certs = (None if a is None else a.T.copy() for a in (player, pots, certs))  # a row per seed
-    return [RunRecord(player[k], realized[:, k], *(None if a is None else a[k] for a in (pots, certs)))
-            for k in range(seeds)]
+    return player, pots, certs, realized
 
 
 TRACE_COLUMNS = [

@@ -211,15 +211,15 @@ def dot(a: np.ndarray, b: np.ndarray):
     it is one call to numpy's dot.  Every dot that can be as long as an
     ExpertBank goes through it; it allocates nothing of that length.
 
-    Given (S, n) rows for a or b, n <= 10,000, it returns the S dots of the
-    rows with the other argument's rows, or with the one vector it is: by
-    matmul's stacked vector products, which have the bits of numpy's dot of
-    each row.  A gemv (rows @ vector) rounds differently."""
-    if a.ndim == 2 or b.ndim == 2:
-        rows, other = (a, b) if a.ndim == 2 else (b, a)
-        if rows.shape[1] > _DOT_CHUNK:
+    Given a stack of rows (..., n) for a or b, n <= 10,000, it returns the
+    dots of the rows with the other argument's rows, or with the one vector
+    it is: by matmul's stacked vector products, which have the bits of
+    numpy's dot of each row.  A gemv (rows @ vector) rounds differently."""
+    if a.ndim > 1 or b.ndim > 1:
+        rows, other = (a, b) if a.ndim > 1 else (b, a)
+        if rows.shape[-1] > _DOT_CHUNK:
             raise ValueError(f"one dot per row takes rows of at most {_DOT_CHUNK} elements")
-        return np.matmul(rows[:, None, :], other[:, :, None] if other.ndim == 2 else other[:, None])[:, 0, 0]
+        return np.matmul(rows[..., None, :], other[..., None])[..., 0, 0]
     if a.size <= _DOT_CHUNK:
         return float(np.dot(a, b))
     total = 0.0
@@ -293,20 +293,30 @@ def _certificate(q: np.ndarray, phi: np.ndarray, log_c: np.ndarray, q_sum):
     return dot(q, phi) / q_sum, _cap(q, log_c, q_sum)
 
 
+# Rounds whose saved states one certify_stack call certifies, and that a
+# learner playing a whole trace handles per set of numpy calls; no record
+# feeds back into a learner.
+RECORD_BLOCK = 64
+
+
 def certify_stack(q: np.ndarray, R: np.ndarray, C: np.ndarray, sizes) -> np.ndarray:
     """The potential sums, caps and prior sums q[:n].sum() of a stack of states,
     as the rows of a (3, len(sizes)) array: row k of R and C is a state of the
     first n = sizes[k] bank rows (later entries must be reachable, as zeros are).
-    Each equals certify() in its state bit for bit by its own dot(); one gemv
-    over the stack rounds differently."""
+    Each equals certify() in its state bit for bit: a run of equal sizes n up
+    to 10,000 takes its dots in one stacked matmul by dot(), which has the bits
+    of dot() of each row, and longer rows take dot()'s chunks one row at a time."""
     phi = _evaluate_where(_phi, R, C, 0.0, 1.0, above=_phi_above)  # phi is exactly 1 for R <= 0
     log_c = 1.0 + np.log1p(C)
-    out = np.empty((3, len(sizes)))
-    q_sum, last = 0.0, 0
-    for k, n in enumerate(sizes):
-        if n != last:  # a bank only grows, so along a run q is summed once per size
-            q_sum, last = q[:n].sum(), n
-        out[:, k] = (*_certificate(q[:n], phi[k, :n], log_c[k, :n], q_sum), q_sum)
+    sizes = np.asarray(sizes)
+    out = np.empty((3, sizes.size))
+    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), sizes.size]
+    for a, b in zip(cuts[:-1], cuts[1:]):  # a bank only grows, so q is summed once per size
+        n = int(sizes[a])
+        q_n = q[:n]
+        out[2, a:b] = q_sum = q_n.sum()
+        for k in range(a, b) if n > _DOT_CHUNK else [slice(a, b)]:
+            out[:2, k] = _certificate(q_n, phi[k, :n], log_c[k, :n], q_sum)
     return out
 
 

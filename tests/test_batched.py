@@ -43,6 +43,13 @@ class TestNumpyFacts:
                 assert same_bytes(shared[k], np.dot(q, a[k]))
             assert same_bytes(dot(a, b), pairs) and same_bytes(dot(q, a), shared) and same_bytes(dot(a, q), shared)
 
+    @pytest.mark.parametrize("n", sorted({2048, 4000, 8191, 9999, 10_000}
+                                         | set(rng_for(1, 5).integers(2048, 10_001, size=3).tolist())))
+    def test_stacked_matmul_is_a_dot_per_row_up_to_one_chunk(self, n):
+        """The same fact from 2,048 entries up to dot()'s chunk, on which
+        certify_stack's one matmul per run of equal sizes rests."""
+        self.test_stacked_matmul_is_a_dot_per_row(n)
+
     @pytest.mark.parametrize("n", SIZES)
     def test_row_sums_are_the_one_dimensional_sums(self, n):
         rng = rng_for(n, 7)

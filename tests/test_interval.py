@@ -212,8 +212,7 @@ class TestIntervalCertificates:
         rec = play(tv, trace.losses)
         _, pref_a = _prefixes(rec.player_losses, trace.losses)
         qtau = 1.0 / np.arange(1.0, 61.0) ** 2
-        zeta = np.concatenate([[0.0], np.cumsum(qtau)])
-        reconstructed = _certificate_at(pref_a, qtau, zeta, 60, 4)
+        reconstructed = _certificate_at(pref_a, qtau, 60, 4)
         assert reconstructed == pytest.approx(tv.certificate(), rel=1e-12)
 
 
