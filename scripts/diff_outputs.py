@@ -11,10 +11,13 @@ adversarial, stochastic and shifting scenarios with ada, dt, hedge and tv,
 one adversarial run of ada, dt and hedge over five seeds listed out of order
 (each plays as one group of five seeds since seed batching), one of ada, dt
 and hedge with one expert over 130 rounds (two blocks of 64 rounds and a
-tail, and hedge's one-expert branch), and one shifting
+tail, and hedge's one-expert branch), one shifting
 run whose --config file overrides its flags with the singular "algo" and
-"seed" keys and an integral-float "n".  Tree fixtures and the config
-file are made once, with BASE_SRC, and shared by both trees.
+"seed" keys and an integral-float "n", and one tree run over the "tree0"
+fixture's data with edge rows: a feature exactly on a split's threshold
+(which goes to the second child) in some rows and an inf or -inf feature in
+others.  Tree fixtures, their edge rows and the config file are made once,
+with BASE_SRC, and shared by both trees.
 
 Prints the first differing file and line of every config that differs and
 exits 1, or prints one line per identical config and exits 0.
@@ -47,6 +50,22 @@ def write_inputs(work: Path, src: Path) -> None:
         cmd = [sys.executable, str(SCRIPTS / "make_tree_fixture.py"), *fixture_args, "--out", str(work / name)]
         subprocess.run(cmd, env=_env(src), stdout=subprocess.DEVNULL, check=True)
     (work / "config.json").write_text(json.dumps(CONFIG_FILE))
+    write_edge_rows(work / "tree0", work / "tree0-edges.csv")
+
+
+def write_edge_rows(fixture: Path, out: Path) -> None:
+    """The fixture's data with, in rows 1-4, the feature of each of the
+    first four splits (in id order) set to that split's threshold, and in
+    rows 5-8 feature f0 or f1 set to inf or -inf."""
+    nodes = sorted((n for n in json.loads((fixture / "tree.json").read_text())["nodes"] if n["children"]),
+                   key=lambda n: int(n["id"][1:]))
+    lines = (fixture / "data.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for k, node in enumerate(nodes[:4]):
+        rows[k][node["feature"]] = repr(float(node["threshold"]))
+    for k in range(4):
+        rows[4 + k][k % 2] = ("inf", "-inf")[k // 2]
+    out.write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n")
 
 
 def matrix(work: Path) -> dict[str, list[str]]:
@@ -58,6 +77,10 @@ def matrix(work: Path) -> dict[str, list[str]]:
                 "--scenario", "tree", "--algo", "ada", "--loss", loss,
                 "--tree", str(work / name / "tree.json"), "--data", str(work / name / "data.csv"),
             ]
+    configs["tree0-edges"] = [
+        "--scenario", "tree", "--algo", "ada", "--tree", str(work / "tree0" / "tree.json"),
+        "--data", str(work / "tree0-edges.csv"),
+    ]
     configs["adversarial"] = ["--scenario", "adversarial", "--algo", ALGOS, "--n", "5", "--t", "400", "--seeds", "2"]
     configs["adversarial-groups"] = [
         "--scenario", "adversarial", "--algo", "ada,dt,hedge", "--n", "10", "--t", "1000", "--seed", "9,2,5,0,7",

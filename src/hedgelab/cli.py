@@ -58,7 +58,7 @@ from .lab import (
     quantile_competitor,
 )
 from .potential import _GATHER_MIN_SIZE, RECORD_BLOCK, PotentialParams, bound_coefficient, competitor_bound
-from .tree import TreeLearner, absolute_loss, best_pruning, load_tree, load_tree_data, squared_loss
+from .tree import TreeLearner, TreeRounds, absolute_loss, best_pruning, load_tree, load_tree_data, squared_loss
 
 
 class Algorithm(NamedTuple):
@@ -309,7 +309,7 @@ def _expert_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
 def _tree_task(cfg: dict, algo: str, seed: int, out_dir: str) -> dict:
     tree, data = cfg["tree"], cfg["data"]  # parsed by run()
     loss_factory = squared_loss if cfg["loss"] == "squared" else absolute_loss
-    rounds = [(x, loss_factory(z)) for x, z in data]
+    rounds = TreeRounds((x, loss_factory(z)) for x, z in data)  # routed and priced once, for both passes
     learner = TreeLearner(tree)
     losses, realized_total, (best_r, pots, certs, bounds) = learner.play_rounds(rounds, RECORD_BLOCK)
     cum_loss = np.cumsum(losses)
@@ -346,7 +346,7 @@ def _parse_tree_files(cfg: dict) -> dict:
         except (OSError, ValueError, TypeError, KeyError, csv.Error) as exc:
             raise ConfigError(f"{key} file {cfg[key]!r} does not parse: {type(exc).__name__}: {exc}") from None
     need = max(parsed["tree"].nodes[nid].feature for nid in parsed["tree"].internal_ids)
-    if any(len(x) <= need for x, _ in parsed["data"]):
+    if len(parsed["data"][0][0]) <= need:  # every x is a row of one (rows, k) array
         raise ConfigError(f"data file {cfg['data']!r} has no feature f{need}, which the tree splits on")
     return parsed
 

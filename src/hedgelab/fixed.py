@@ -101,15 +101,17 @@ class FixedLearner(BankCertificates):
         """
         return self._bank.predict()
 
-    def update(self, losses, certify: bool = False):
+    def update(self, losses, certify: bool = False, *, checked: bool = False):
         """Consume one round of losses in [0, 1]^N, return the player loss.
 
         The prediction is recomputed internally so the weighted sum of
         instantaneous regrets is zero by construction.  With certify=True
         (d = 1 only) return (player loss, *certify()) of the new state, the
         bits of update() then certify() from one pass over the experts.
+        checked=True skips the loss check, for a row of a loss array that
+        check_losses has passed whole (play_trace does).
         """
-        out = self._bank.update(check_losses(losses, self.R.shape), certify=certify)
+        out = self._bank.update(losses if checked else check_losses(losses, self.R.shape), certify=certify)
         self.t += 1
         return out
 
@@ -120,19 +122,26 @@ class FixedLearner(BankCertificates):
         update(losses, certify=True), bit for bit, from the states after each
         round, saved RECORD_BLOCK rounds at a time and certified by one
         certify_stack call per block (no certificate feeds back into the
-        learner)."""
+        learner).  The losses are checked once, as a whole, and each round
+        plays through update(checked=True); when that check fails, each round
+        checks its own, so update() raises at the round and with the message
+        of the loop."""
         if certify:
             self._bank._certifiable()
         n, shape = self.n_experts, (losses.shape[0], *self.R.shape[:-1])
+        try:
+            losses, checked = check_losses(losses, (shape[0], *self.R.shape)), True
+        except ValueError:
+            checked = False
         player = np.empty(shape)
         if not certify:
             for t, lvec in enumerate(losses):
-                player[t] = self.update(lvec)
+                player[t] = self.update(lvec, checked=checked)
             return player
         records = np.empty((2, *shape))  # potential sums and caps
         R, C = np.empty((2, min(RECORD_BLOCK, shape[0]), *self.R.shape))  # row k: the state after round k
         for t, lvec in enumerate(losses):
-            player[t] = self.update(lvec)
+            player[t] = self.update(lvec, checked=checked)
             k = t % RECORD_BLOCK
             R[k], C[k] = self.R, self.C
             if k == RECORD_BLOCK - 1 or t == shape[0] - 1:

@@ -14,6 +14,10 @@ prunable.  JSON serialization: {"root": id, "nodes": [{"id", "feature",
 columns f0..fk, none NaN, and a target column z in [0, 1].
 TreeLearner.play_rounds plays and certifies a run, the certificates in blocks
 of rounds from saved registry states, by SleepingRegistry.round_records.
+A run routes and prices its rows once: TemplateTree.route_rows routes every
+row in one vectorised pass, each edge on a row's path is priced by one call
+of the row's loss closure, and a TreeRounds keeps that pricing for both
+play_rounds and best_pruning.
 """
 
 from __future__ import annotations
@@ -22,7 +26,10 @@ import csv
 import json
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -36,6 +43,7 @@ __all__ = [
     "TemplateTree",
     "PruningTree",
     "TreeLearner",
+    "TreeRounds",
     "squared_loss",
     "absolute_loss",
     "best_pruning",
@@ -121,11 +129,7 @@ class TemplateTree:
         return [n.id for n in self.nodes.values() if not n.is_leaf]
 
     def depth(self) -> int:
-        def go(nid: str) -> int:
-            node = self.nodes[nid]
-            return 0 if node.is_leaf else 1 + max(go(c) for c in node.children)
-
-        return go(self.root)
+        return max(len(edges) for edges, _, _ in self._leaf_paths.values())
 
     def route_child(self, nid: str, x) -> str:
         node = self.nodes[nid]
@@ -133,15 +137,76 @@ class TemplateTree:
             raise ValueError(f"input has no feature {node.feature} required by node {nid!r}")
         return node.children[0] if x[node.feature] < node.threshold else node.children[1]
 
-    def traverse(self, x) -> list[Edge]:
-        """Root-to-leaf edge path for input x; length equals the leaf's depth."""
-        path = []
+    def _leaf(self, x) -> str:
+        """The leaf that route_child leads x to."""
         nid = self.root
         while not self.nodes[nid].is_leaf:
-            child = self.route_child(nid, x)
-            path.append((nid, child))
-            nid = child
-        return path
+            nid = self.route_child(nid, x)
+        return nid
+
+    def route_rows(self, X) -> list[str]:
+        """The leaf that route_child leads each row of a (rows, k) array to.
+        A float64 array with every feature the splits use takes one
+        vectorised compare per level, X[row, feature] < threshold, the
+        comparison route_child makes, so a tie goes to the second child.
+        Other arrays go through route_child row by row, which raises its
+        ValueError at the first row that reaches a split on a missing feature."""
+        X = np.asarray(X)
+        if X.ndim != 2:
+            raise ValueError(f"rows must form a (rows, k) array, got shape {X.shape}")
+        if X.dtype == np.float64 and self._tables is not None:
+            ids, root, feature, threshold, left, right, depth = self._tables
+            if X.shape[1] > feature.max():
+                at = np.full(X.shape[0], root)
+                rows = np.arange(X.shape[0])
+                for _ in range(depth):
+                    f = feature[at]  # 0 at a leaf, whose children are itself
+                    at = np.where(X[rows, f] < threshold[at], left[at], right[at])
+                return [ids[k] for k in at.tolist()]
+        return [self._leaf(x) for x in X]
+
+    @cached_property
+    def _tables(self) -> tuple | None:
+        """route_rows' arrays, by node in self.nodes order: the ids, the root's
+        index, each split's feature, threshold and two children (0, 0.0 and
+        the node itself twice at a leaf), and the depth; None when a
+        threshold is no int or float exactly, such as an int past 2**53."""
+        index = {nid: k for k, nid in enumerate(self.nodes)}
+        splits = []
+        for k, node in enumerate(self.nodes.values()):
+            if node.is_leaf:
+                splits.append((0, 0.0, k, k))
+            elif isinstance(node.threshold, (float, np.floating)) or (
+                isinstance(node.threshold, (int, np.integer)) and abs(node.threshold) <= 2**53
+            ):
+                feature = min(node.feature, np.iinfo(np.intp).max)  # past any row's length either way
+                splits.append((feature, float(node.threshold), *(index[c] for c in node.children)))
+            else:
+                return None
+        feature, threshold, left, right = zip(*splits)
+        as_index = lambda col: np.array(col, dtype=np.intp)
+        return (list(index), index[self.root], as_index(feature), np.array(threshold), as_index(left),
+                as_index(right), self.depth())
+
+    @cached_property
+    def _leaf_paths(self) -> dict[str, tuple[list[Edge], list, list[int]]]:
+        """Each leaf's root-to-leaf edges, their child predictions and the
+        children's indices in self.nodes order."""
+        index = {nid: k for k, nid in enumerate(self.nodes)}
+        paths = {}
+        for nid, node in self.nodes.items():
+            if node.is_leaf:
+                edges, child = [], nid
+                while child != self.root:
+                    edges.append((self.parent[child], child))
+                    child = self.parent[child]
+                edges.reverse()
+                paths[nid] = (edges, [self.nodes[c].prediction for _, c in edges], [index[c] for _, c in edges])
+        return paths
+
+    def traverse(self, x) -> list[Edge]:
+        """Root-to-leaf edge path for input x; length equals the leaf's depth."""
+        return list(self._leaf_paths[self._leaf(x)][0])
 
     def to_dict(self) -> dict:
         return {
@@ -207,16 +272,13 @@ def pruning_predict(tree: TemplateTree, pruning: PruningTree, x) -> float:
 
 def _effective_leaves(tree: TemplateTree, pruning: PruningTree) -> list[str]:
     """Ids of the effective pruned tree's leaves, left to right."""
-    leaves = []
-
-    def go(nid: str) -> None:
+    leaves, stack = [], [tree.root]
+    while stack:
+        nid = stack.pop()
         if (nid != tree.root and nid in pruning.pruned_at) or tree.nodes[nid].is_leaf:
             leaves.append(nid)
-            return
-        for child in tree.nodes[nid].children:
-            go(child)
-
-    go(tree.root)
+        else:
+            stack.extend(reversed(tree.nodes[nid].children))
     return leaves
 
 
@@ -239,6 +301,52 @@ def absolute_loss(target: float) -> LossFn:
     return lambda y: abs(y - target)
 
 
+class TreeRounds(tuple):
+    """(x, loss_fn) rounds that route and price their rows over a tree once,
+    on first use, and keep that pricing: TreeLearner.play_rounds and
+    best_pruning, given the same TreeRounds and tree, share one."""
+
+    _priced: tuple | None = None  # (tree, its pricing)
+
+    def pricing(self, tree: TemplateTree) -> tuple[list[str], np.ndarray]:
+        if self._priced is None or self._priced[0] is not tree:
+            self._priced = tree, _price(tree, self)
+        return self._priced[1]
+
+
+def _price(tree: TemplateTree, rounds) -> tuple[list[str], np.ndarray]:
+    """The leaf of each row, and loss_fn(prediction) of every edge on every
+    row's path, row by row in path order, unchecked.  The rows are routed
+    once, by route_rows when every x is a float64 array of one length
+    (route_child compares other types, such as Python ints or float32, in
+    ways a float64 array would not), else row by row; then each row's loss
+    closure is called once per edge on its path.  A route or closure that
+    raises does so in row order, as a row-by-row pass would."""
+    xs = [x for x, _ in rounds]
+    leaves = None
+    if set(map(type, xs)) == {np.ndarray} and set(map(attrgetter("dtype"), xs)) == {np.dtype(np.float64)}:
+        try:
+            leaves = tree.route_rows(np.array(xs))
+        except ValueError:  # ragged rows, or a missing feature: route_child decides, row by row
+            pass
+    routed = leaves is not None
+    leaves = leaves if routed else []
+    paths = tree._leaf_paths
+
+    def values():
+        for t, (x, loss_fn) in enumerate(rounds):
+            if not routed:
+                leaves.append(tree._leaf(x))
+            yield from map(float, map(loss_fn, paths[leaves[t]][1]))
+
+    return leaves, np.fromiter(values(), float)
+
+
+def _pricing(tree: TemplateTree, rounds) -> tuple[list[str], np.ndarray]:
+    """The rounds' pricing over the tree: a TreeRounds' kept one, else a new one."""
+    return rounds.pricing(tree) if isinstance(rounds, TreeRounds) else _price(tree, rounds)
+
+
 class TreeLearner:
     """Online forecaster mixing edge-expert predictions of a template tree.
 
@@ -250,7 +358,9 @@ class TreeLearner:
     which gives the mapping API's results bit for bit (every confidence is 1).
     play_round does a whole round in one pass, routing x once and computing
     the bank's weights once for both the prediction and the update; it equals
-    predict(x) followed by update(x, loss_fn) bit for bit.
+    predict(x) followed by update(x, loss_fn) bit for bit.  play_rounds routes
+    and prices a whole run's rows once, up front, and checks their losses in
+    one call.
     """
 
     def __init__(self, tree: TemplateTree):
@@ -265,13 +375,14 @@ class TreeLearner:
 
     def _path(self, x) -> list:
         """The memo of the leaf x reaches: [edges, child predictions, rows]."""
-        nid = self.tree.root
-        while not self.tree.nodes[nid].is_leaf:
-            nid = self.tree.route_child(nid, x)
-        path = self._paths.get(nid)
+        return self._memo(self.tree._leaf(x))
+
+    def _memo(self, leaf: str) -> list:
+        """The memo of a leaf: [edges, child predictions, rows]."""
+        path = self._paths.get(leaf)
         if path is None:
-            edges = self.tree.traverse(x)
-            path = self._paths[nid] = [edges, np.array([self.tree.nodes[child].prediction for _, child in edges]), None]
+            edges, preds, _ = self.tree._leaf_paths[leaf]
+            path = self._paths[leaf] = [edges, np.array(preds), None]
         return path
 
     def _rows(self, path: list) -> np.ndarray:
@@ -312,13 +423,16 @@ class TreeLearner:
     def play_rounds(self, rounds: list[tuple], block: int) -> tuple[list, float, tuple[np.ndarray, ...]]:
         """play_round every (x, loss_fn) in turn; return the player losses, the total loss_fn(prediction)
         and the registry's round_record() after every round as four arrays, computed by round_records
-        from the states saved `block` rounds at a time (no record feeds back into the learner)."""
+        from the states saved `block` rounds at a time (no record feeds back into the learner).
+        The rows are routed and priced once, up front (kept on a TreeRounds for best_pruning), and
+        their losses checked in one call; when that fails, the rounds replay through play_round,
+        which raises at the round and with the message of the loop, leaving the loop's registry."""
+        played = self._play(rounds)
         bank = self.registry._bank
         R, C = np.zeros((2, block, len(self.tree.parent)))  # row k: the bank after round k of a block
         sizes = np.zeros(block, dtype=int)
         losses, records, realized_total = [], [], 0.0
-        for t, (x, loss_fn) in enumerate(rounds):
-            y, player_loss = self.play_round(x, loss_fn)
+        for t, (loss_fn, y, player_loss) in enumerate(played):
             realized_total += float(loss_fn(y))  # not sum(): from Python 3.12 on it compensates float sums
             losses.append(player_loss)
             k = t % block
@@ -327,6 +441,26 @@ class TreeLearner:
             if k == block - 1 or t == len(rounds) - 1:
                 records.append(self.registry.round_records(R[: k + 1], C[: k + 1], sizes[: k + 1]))
         return losses, realized_total, tuple(map(np.concatenate, zip(*records)))
+
+    def _play(self, rounds):
+        """An iterator of (loss_fn, prediction, player loss) of each round in
+        turn: from the rounds' one pricing, else from play_round."""
+        try:
+            leaves, edge_losses = _pricing(self.tree, rounds)
+            edge_losses = check_losses(edge_losses)
+        except Exception:  # any failure of the up-front pass: play_round raises it at its round
+            return ((loss_fn, *self.play_round(x, loss_fn)) for x, loss_fn in rounds)
+        return self._play_priced(rounds, leaves, edge_losses)
+
+    def _play_priced(self, rounds, leaves: list[str], edge_losses: np.ndarray):
+        """_play's rounds from their leaves and their checked edge losses."""
+        bank, start = self.registry._bank, 0
+        for (_, loss_fn), leaf in zip(rounds, leaves):
+            path = self._memo(leaf)
+            end = start + len(path[1])
+            rows, p, y = self._weigh(path)
+            yield loss_fn, y, bank.update(edge_losses[start:end], rows, p=p)
+            start = end
 
     def pruning_certificate(self, pruning: PruningTree) -> float:
         """m * (regret bound for u uniform over the pruning's terminal edges).
@@ -351,36 +485,39 @@ def best_pruning(tree: TemplateTree, data: list[tuple]) -> tuple[float, int, Pru
 
     Returns (total loss, leaf count, pruning).  Ties in loss are broken toward
     fewer leaves, so subtrees the data never reaches collapse to single leaves.
+    The rows are routed and priced once, and not again when data is a
+    TreeRounds that TreeLearner.play_rounds has priced over the same tree;
+    each node's loss adds its rows' losses in row order.
     """
     if not data:
         raise ValueError("data must be nonempty")
-    hit_loss: dict[str, float] = {}  # reached non-root node -> loss of predicting with it
-    for x, loss_fn in data:
-        nid = tree.root
-        while not tree.nodes[nid].is_leaf:
-            nid = tree.route_child(nid, x)
-            hit_loss[nid] = hit_loss.get(nid, 0.0) + float(loss_fn(tree.nodes[nid].prediction))
-
-    def best(nid: str) -> tuple[float, int, list[str]]:
-        """(loss, leaves, pruned nodes) of the best pruning of nid's subtree."""
-        leaf_loss = hit_loss.get(nid, 0.0)
-        if tree.nodes[nid].is_leaf:
-            return leaf_loss, 1, []
-        sub_loss, sub_leaves, sub_pruned = 0.0, 0, []
-        for child in tree.nodes[nid].children:
-            loss, leaves, pruned = best(child)
-            sub_loss += loss
-            sub_leaves += leaves
-            sub_pruned += pruned
-        # ties collapse to the single leaf, unreached subtrees (0 against 0) included
-        if nid != tree.root and leaf_loss <= sub_loss:
-            return leaf_loss, 1, [nid]
-        return sub_loss, sub_leaves, sub_pruned
-
-    total, leaves, pruned = best(tree.root)
+    (row_leaves, losses), paths = _pricing(tree, data), tree._leaf_paths
+    # node -> loss of predicting with it; bincount adds each node's losses in row order, from 0.0
+    nodes = [k for leaf in row_leaves for k in paths[leaf][2]]
+    hit_loss = dict(zip(tree.nodes, np.bincount(nodes, losses, len(tree.nodes)).tolist()))
+    total, leaves, pruned = _best_subtree(tree, hit_loss, tree.root)
     pruning = PruningTree(frozenset(pruned))
     pruning.validate(tree)
     return total, leaves, pruning
+
+
+def _best_subtree(tree: TemplateTree, hit_loss: dict[str, float], nid: str) -> tuple[float, int, list[str]]:
+    """(loss, leaves, pruned nodes) of the best pruning of nid's subtree.  A
+    module function, not a closure, so that no reference cycle keeps the tree
+    and its routing tables alive until the next garbage collection."""
+    leaf_loss = hit_loss[nid]
+    if tree.nodes[nid].is_leaf:
+        return leaf_loss, 1, []
+    sub_loss, sub_leaves, sub_pruned = 0.0, 0, []
+    for child in tree.nodes[nid].children:
+        loss, leaves, pruned = _best_subtree(tree, hit_loss, child)
+        sub_loss += loss
+        sub_leaves += leaves
+        sub_pruned += pruned
+    # ties collapse to the single leaf, unreached subtrees (0 against 0) included
+    if nid != tree.root and leaf_loss <= sub_loss:
+        return leaf_loss, 1, [nid]
+    return sub_loss, sub_leaves, sub_pruned
 
 
 def best_pruning_bruteforce(tree: TemplateTree, data: list[tuple]) -> tuple[float, int]:
@@ -472,7 +609,10 @@ def save_tree(tree: TemplateTree, path) -> None:
 
 
 def load_tree_data(path) -> list[tuple[np.ndarray, float]]:
-    """CSV with feature columns f0..fk and target column z."""
+    """CSV with feature columns f0..fk and target column z, as (x, z) pairs
+    whose x are the rows of one (rows, k) float array.  Each row must have
+    as many cells as the header; the error names the first bad row, with
+    the message a row-by-row parse would give."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "z" not in reader.fieldnames:
@@ -482,18 +622,41 @@ def load_tree_data(path) -> list[tuple[np.ndarray, float]]:
         )
         if feat_cols != [f"f{k}" for k in range(len(feat_cols))]:
             raise ValueError(f"feature columns must be f0..f{len(feat_cols) - 1}, got {feat_cols}")
-        out = []
-        for row in reader:
-            x = np.array([float(row[c]) for c in feat_cols])
-            if np.isnan(x).any():  # x[f] < threshold is false for NaN, which would silently pick a child
-                raise ValueError(f"feature value NaN on line {reader.line_num}")
-            z = float(row["z"])
-            if not (0.0 <= z <= 1.0):
-                raise ValueError(f"target {z} outside [0, 1]")
-            out.append((x, z))
-    if not out:
+        width, k = len(reader.fieldnames), len(feat_cols)
+        values, lines, x = array("d"), array("q"), None  # x: the features of a row whose target did not parse
+        try:
+            for row in reader:
+                if None in row or None in row.values():  # DictReader's key for extra cells, value for missing ones
+                    cells = width + len(row[None]) if None in row else width - list(row.values()).count(None)
+                    raise ValueError(f"line {reader.line_num} has {cells} cells, the header has {width}")
+                x = [float(row[c]) for c in feat_cols]
+                x.append(float(row["z"]))
+                values.extend(x)
+                lines.append(reader.line_num)
+                x = None
+        except (ValueError, csv.Error):
+            _check_rows(np.array(values).reshape(-1, k + 1), lines)  # an earlier row's error comes first
+            if x is not None:
+                _check_rows(np.array([x + [0.0]]), [reader.line_num])  # so does this row's NaN feature
+            raise
+    if not values:
         raise ValueError("data file is empty")
-    return out
+    data = np.array(values).reshape(-1, k + 1)
+    _check_rows(data, lines)
+    return list(zip(data[:, :-1], data[:, -1].tolist()))
+
+
+def _check_rows(data: np.ndarray, lines) -> None:
+    """Raise for the first row of data, a row of features and then the target
+    z, with a NaN feature or a z outside [0, 1], NaN included; lines[k] is
+    row k's line."""
+    nan = np.isnan(data[:, :-1]).any(axis=1)  # x[f] < threshold is false for NaN, which would silently pick a child
+    bad = nan | ~((data[:, -1] >= 0.0) & (data[:, -1] <= 1.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if nan[k]:
+            raise ValueError(f"feature value NaN on line {lines[k]}")
+        raise ValueError(f"target {float(data[k, -1])} outside [0, 1]")
 
 
 def save_tree_data(data: list[tuple[np.ndarray, float]], path) -> None:

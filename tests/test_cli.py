@@ -329,6 +329,20 @@ class TestTreeFiles:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("row,cells", [("0.5,0.5,0.5,0.9", 4), ("0.5,0.5", 2)], ids=["extra-cell", "short-row"])
+    def test_a_row_of_the_wrong_length_is_bad_config(self, tmp_path, capsys, tree_fixture, row, cells):
+        tree_path, _ = tree_fixture
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"f0,f1,z\n0.1,0.2,0.3\n{row}\n")
+        out = tmp_path / "out"
+        args = ["run", "--scenario", "tree", "--algo", "ada", "--tree", str(tree_path), "--data", str(bad)]
+        assert run_cli(args + ["--out", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert re.match(
+            f"error: data file .* does not parse: ValueError: line 3 has {cells} cells, the header has 3$", err
+        ), err
+        assert err.count("\n") == 1 and not out.exists()
+
     @pytest.mark.parametrize("value,code", [("nan", EXIT_BAD_CONFIG), ("inf", EXIT_OK), ("-inf", EXIT_OK)])
     def test_nan_feature_is_bad_config(self, tmp_path, capsys, tree_fixture, value, code):
         tree_path, data_path = tree_fixture

@@ -13,6 +13,7 @@ from hedgelab.tree import (
     TemplateTree,
     TreeLearner,
     TreeNode,
+    TreeRounds,
     absolute_loss,
     best_pruning,
     best_pruning_bruteforce,
@@ -375,6 +376,140 @@ class TestPlayRoundEquivalence:
         assert_same_registry(learner.registry, ref.registry)
 
 
+def route_child_leaf(tree, x):
+    """The leaf route_child leads x to, one split at a time."""
+    nid = tree.root
+    while not tree.nodes[nid].is_leaf:
+        nid = tree.route_child(nid, x)
+    return nid
+
+
+def uneven_tree():
+    """Leaves at depths 1, 2 and 3, splits on features 0, 1 and 2."""
+    return TemplateTree(
+        [
+            TreeNode("root", children=("a", "b"), feature=0, threshold=0.5),
+            TreeNode("a", prediction=0.1),
+            TreeNode("b", children=("c", "d"), feature=1, threshold=0.25, prediction=0.6),
+            TreeNode("c", children=("e", "f"), feature=2, threshold=0.75, prediction=0.3),
+            TreeNode("d", prediction=0.9),
+            TreeNode("e", prediction=0.0),
+            TreeNode("f", prediction=1.0),
+        ],
+        "root",
+    )
+
+
+class TestRouteRows:
+    """route_rows routes a whole (rows, k) array with the leaves route_child gives, row by row."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, 7])
+    def test_random_trees(self, depth):
+        rng = rng_for(400 + depth, 2)
+        tree = random_template_tree(depth, 3, rng)
+        X = rng.uniform(0, 1, (500, 3))
+        assert tree.route_rows(X) == [route_child_leaf(tree, x) for x in X]
+
+    def test_leaves_at_different_depths(self):
+        tree = uneven_tree()
+        X = rng_for(7, 2).uniform(0, 1, (300, 3))
+        leaves = tree.route_rows(X)
+        assert leaves == [route_child_leaf(tree, x) for x in X]
+        assert set(leaves) == {"a", "d", "e", "f"}
+
+    def test_a_tie_goes_to_the_second_child(self):
+        tree = uneven_tree()
+        X = np.array([[0.5, 0.0, 0.0], [0.9, 0.25, 0.0], [0.9, 0.0, 0.75], [np.nextafter(0.5, 0.0), 0.0, 0.0]])
+        assert tree.route_rows(X) == [route_child_leaf(tree, x) for x in X] == ["e", "d", "f", "a"]
+        rng = rng_for(8, 2)
+        tree = random_template_tree(5, 2, rng)
+        X = rng.uniform(0, 1, (200, 2))
+        for k, nid in enumerate(tree.internal_ids):  # each split's threshold, exactly, in some row
+            node = tree.nodes[nid]
+            X[k, node.feature] = node.threshold
+        assert tree.route_rows(X) == [route_child_leaf(tree, x) for x in X]
+
+    def test_infinite_features(self):
+        tree = uneven_tree()
+        X = np.array([[-np.inf, 0.0, 0.0], [np.inf, -np.inf, np.inf], [np.inf, np.inf, 0.0], [np.inf, -np.inf, -np.inf]])
+        assert tree.route_rows(X) == [route_child_leaf(tree, x) for x in X] == ["a", "f", "d", "e"]
+
+    def test_a_missing_feature_raises_at_the_first_row_that_needs_it(self):
+        tree = uneven_tree()
+        X = np.array([[0.1, 0.0], [0.9, 0.5], [0.9, 0.1]])  # only the last row reaches the split on f2
+        with pytest.raises(ValueError, match=r"^input has no feature 2 required by node 'c'$"):
+            tree.route_rows(X)
+        assert tree.route_rows(X[:2]) == ["a", "d"]
+
+    def test_play_rounds_routes_float_rows_in_one_pass(self, monkeypatch):
+        # no route_child call, and each closure called once per edge, for both passes
+        rng = rng_for(9, 2)
+        tree = random_template_tree(4, 3, rng)
+        calls = []
+
+        def counted(z):
+            loss_fn = squared_loss(z)
+            return lambda y: calls.append(y) or loss_fn(y)
+
+        rows = [(rng.uniform(0, 1, 3), float(rng.uniform(0, 1))) for _ in range(40)]
+        ref = TreeLearner(tree).play_rounds([(x, squared_loss(z)) for x, z in rows], 8)
+        ref_best = best_pruning(tree, [(x, squared_loss(z)) for x, z in rows])
+
+        def no_route_child(*args):
+            raise AssertionError("route_child called")
+
+        monkeypatch.setattr(TemplateTree, "route_child", no_route_child)
+        rounds = TreeRounds((x, counted(z)) for x, z in rows)
+        got = TreeLearner(tree).play_rounds(rounds, 8)
+        assert got[:2] == ref[:2]
+        assert [a.tobytes() for a in got[2]] == [a.tobytes() for a in ref[2]]
+        assert best_pruning(tree, rounds) == ref_best
+        assert len(calls) == 40 * 4 + 40  # every edge of every row once, and every round's prediction
+
+
+class TestPlayRoundsFailure:
+    """play_rounds over rows of which row k fails raises as the per-round loop
+    does: the same message after the same k rounds, with the same registry."""
+
+    def loop(self, tree, rounds):
+        learner = TreeLearner(tree)
+        with pytest.raises(ValueError) as exc:
+            for x, loss_fn in rounds:
+                learner.play_round(x, loss_fn)
+        return learner, str(exc.value)
+
+    def assert_fails_as_the_loop(self, tree, rounds, k):
+        ref, message = self.loop(tree, rounds)
+        played = TreeLearner(tree)
+        played.play_rounds(rounds[:k], 4)
+        assert_same_registry(played.registry, ref.registry)  # the loop stopped after k rounds
+        learner = TreeLearner(tree)
+        with pytest.raises(ValueError) as exc:
+            learner.play_rounds(rounds, 4)
+        assert str(exc.value) == message
+        assert_same_registry(learner.registry, ref.registry)
+        return message
+
+    @pytest.mark.parametrize("wrap", [list, TreeRounds])
+    def test_a_loss_outside_the_unit_interval(self, wrap):
+        rng = rng_for(10, 2)
+        tree = random_template_tree(4, 3, rng)
+        rounds = [(rng.uniform(0, 1, 3), squared_loss(float(rng.uniform(0, 1)))) for _ in range(30)]
+        rounds[17] = (rounds[17][0], lambda y: y + 1.0)
+        message = self.assert_fails_as_the_loop(tree, wrap(rounds), 17)
+        assert message == "losses must lie in [0, 1]"
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_a_missing_feature(self, ragged):
+        tree = uneven_tree()
+        rng = rng_for(11, 2)
+        rounds = [(np.array([rng.uniform(0.5, 1), rng.uniform(0.3, 1)] + [0.5] * ragged), absolute_loss(0.5))
+                  for _ in range(12)]
+        rounds[7] = (np.array([0.9, 0.1]), absolute_loss(0.5))  # reaches the split on f2
+        message = self.assert_fails_as_the_loop(tree, rounds, 7)
+        assert message == "input has no feature 2 required by node 'c'"
+
+
 class TestBestPruning:
     def test_recovers_generating_pruning(self):
         rng = rng_for(4, 2)
@@ -501,6 +636,35 @@ class TestSerialization:
         path.write_text("f0,f1,z\n0.5,0.5,0.5\n0.5,nan,0.5\n")
         with pytest.raises(ValueError, match="feature value NaN on line 3"):
             load_tree_data(path)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("f0,f1,z\n0.5,nan,0.5\n0.5,abc,0.5\n", "feature value NaN on line 2"),
+            ("f0,f1,z\n0.5,0.5,1.5\n0.5,nan,0.5\n", "target 1.5 outside"),
+            ("f0,f1,z\n0.5,nan,abc\n", "feature value NaN on line 2"),
+            ("f0,f1,z\n0.5,0.5,0.5\n0.5,abc,nan\n0.5,nan,0.5\n", "could not convert string to float: 'abc'"),
+            ("f0,f1,z\n0.5,0.5,0.5\n\n0.5,nan,0.5\n", "feature value NaN on line 4"),
+            ("f0,f1,z\n0.5,0.5\n", "line 2 has 2 cells, the header has 3"),
+            ("f0,f1,z\n0.5,0.5,0.5,0.9\n", "line 2 has 4 cells, the header has 3"),
+            ("f0,f1,z\n0.5,0.5,1.5\n0.5,0.5\n", "target 1.5 outside"),
+        ],
+        ids=["nan-before-bad-cell", "target-before-nan", "nan-before-bad-target", "bad-cell-first",
+             "blank-line", "short-row", "long-row", "target-before-short-row"],
+    )
+    def test_the_first_bad_row_names_the_error(self, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            load_tree_data(path)
+
+    def test_rows_share_one_array(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("f0,f1,z\n0.5,0.25,1\n-0.0,2,0.0\n")
+        data = load_tree_data(path)
+        assert [(x.tolist(), z) for x, z in data] == [([0.5, 0.25], 1.0), ([-0.0, 2.0], 0.0)]
+        assert data[0][0].base is data[1][0].base is not None
+        assert all(type(z) is float for _, z in data)
 
     def test_data_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -9,6 +9,7 @@ per-round surface: update(), or update(losses, certify=True), once a round.
 import numpy as np
 import pytest
 
+from hedgelab import fixed
 from hedgelab.fixed import FixedLearner
 from hedgelab.lab import HedgeLearner, gen_adversarial, gen_stochastic_gap, play, rng_for
 from hedgelab.potential import RECORD_BLOCK, PotentialParams
@@ -161,3 +162,14 @@ def test_losses_of_the_wrong_shape_are_refused():
         play(HedgeLearner(3), np.full((5, 4), 0.5))
     with pytest.raises(ValueError, match=r"losses must have shape \(2, 3\)"):
         play(HedgeLearner(3, seeds=2), np.full((5, 3), 0.5))
+
+
+@pytest.mark.parametrize("seeds", [None, 2])
+def test_the_fixed_learner_checks_a_whole_trace_once(monkeypatch, seeds):
+    calls = []
+    real = fixed.check_losses
+    monkeypatch.setattr(fixed, "check_losses", lambda *args: calls.append(args[1]) or real(*args))
+    for certify in (False, True):
+        calls.clear()
+        play(ada(4)(seeds), stacked_losses(4, T, seeds), certificates=certify)
+        assert calls == [(T, 4) if seeds is None else (T, seeds, 4)]  # no round checks its own
