@@ -16,8 +16,10 @@ run whose --config file overrides its flags with the singular "algo" and
 "seed" keys and an integral-float "n", and one tree run over the "tree0"
 fixture's data with edge rows: a feature exactly on a split's threshold
 (which goes to the second child) in some rows and an inf or -inf feature in
-others.  Tree fixtures, their edge rows and the config file are made once,
-with BASE_SRC, and shared by both trees.
+others.  The "tree0-format" config runs over the "tree0" fixture's data
+rewritten with CRLF line endings, quoted cells and blank lines.  Tree
+fixtures, their rewritten data and the config file are made once, with
+BASE_SRC, and shared by both trees.
 
 Prints the first differing file and line of every config that differs and
 exits 1, or prints one line per identical config and exits 0.
@@ -51,6 +53,7 @@ def write_inputs(work: Path, src: Path) -> None:
         subprocess.run(cmd, env=_env(src), stdout=subprocess.DEVNULL, check=True)
     (work / "config.json").write_text(json.dumps(CONFIG_FILE))
     write_edge_rows(work / "tree0", work / "tree0-edges.csv")
+    write_format_rows(work / "tree0", work / "tree0-format.csv")
 
 
 def write_edge_rows(fixture: Path, out: Path) -> None:
@@ -68,6 +71,18 @@ def write_edge_rows(fixture: Path, out: Path) -> None:
     out.write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n")
 
 
+def write_format_rows(fixture: Path, out: Path) -> None:
+    """The fixture's data with CRLF line endings, every cell of every other
+    row quoted, and a blank line after every fifth row and at the end."""
+    lines = (fixture / "data.csv").read_text().splitlines()
+    rows = [lines[0]]
+    for k, line in enumerate(lines[1:]):
+        rows.append(",".join(f'"{cell}"' for cell in line.split(",")) if k % 2 else line)
+        if k % 5 == 4:
+            rows.append("")
+    out.write_bytes(("\r\n".join(rows) + "\r\n\r\n").encode())
+
+
 def matrix(work: Path) -> dict[str, list[str]]:
     """Config name -> `hedgelab run` arguments (without --out)."""
     configs = {}
@@ -80,6 +95,10 @@ def matrix(work: Path) -> dict[str, list[str]]:
     configs["tree0-edges"] = [
         "--scenario", "tree", "--algo", "ada", "--tree", str(work / "tree0" / "tree.json"),
         "--data", str(work / "tree0-edges.csv"),
+    ]
+    configs["tree0-format"] = [
+        "--scenario", "tree", "--algo", "ada", "--tree", str(work / "tree0" / "tree.json"),
+        "--data", str(work / "tree0-format.csv"),
     ]
     configs["adversarial"] = ["--scenario", "adversarial", "--algo", ALGOS, "--n", "5", "--t", "400", "--seeds", "2"]
     configs["adversarial-groups"] = [

@@ -157,16 +157,7 @@ def interval_bound(player_losses, losses, t1: int, t2: int, i: int) -> float:
     ln(1 + ln(N*t2))), where q_(t1) is the normalized 1/t1^2 prior over the
     N*t2 copies alive at t2 and B' is their potential-sum cap.
     """
-    player_losses, losses = check_trace(player_losses, losses)
-    return _interval_bound(_abs_prefix(player_losses, losses), *tv_prior(losses.shape[0]), losses.shape, t1, t2, i)
-
-
-def _interval_bound(pref_a, qtau, zeta, shape, t1: int, t2: int, i: int) -> float:
-    """interval_bound of a (T, N) trace from its _abs_prefix and tv_prior(T)."""
-    _check_interval(shape, t1, t2, i)
-    # math.log, not np.log: the two differ in the last bit at some t1 (9170, for one)
-    bounds = _interval_bounds(pref_a, qtau, zeta, t2, shape[1], slice(t1 - 1, t1), np.array([math.log(t1)]))
-    return float(bounds[0, i])
+    return segments_bound(player_losses, losses, [t1 - 1, t2], [i])
 
 
 def segments_bound(player_losses, losses, boundaries, experts) -> float:
@@ -174,8 +165,13 @@ def segments_bound(player_losses, losses, boundaries, experts) -> float:
     experts[j] over rounds boundaries[j] + 1 .. boundaries[j + 1]."""
     player_losses, losses = check_trace(player_losses, losses)
     pref_a, (qtau, zeta) = _abs_prefix(player_losses, losses), tv_prior(losses.shape[0])
-    segments = zip(zip(boundaries[:-1], boundaries[1:]), experts, strict=True)
-    return float(sum(_interval_bound(pref_a, qtau, zeta, losses.shape, a + 1, b, i) for (a, b), i in segments))
+    bounds = []
+    for (a, b), i in zip(zip(boundaries[:-1], boundaries[1:]), experts, strict=True):
+        _check_interval(losses.shape, a + 1, b, i)
+        # math.log, not np.log: the two differ in the last bit at some t1 (9170, for one)
+        segment = _interval_bounds(pref_a, qtau, zeta, b, losses.shape[1], slice(a, a + 1), np.array([math.log(a + 1)]))
+        bounds.append(float(segment[0, i]))
+    return float(sum(bounds))
 
 
 def check_all_interval_bounds(player_losses, losses, rel_tol: float = 1e-9):

@@ -314,14 +314,17 @@ def default_eta_schedule(n: int) -> Callable[[int], float]:
 class HedgeLearner:
     """Exponential weights: p_{t,i} proportional to q_i exp(-eta_t L_{t-1,i}).
 
-    seeds=S plays S seeds in lockstep, each with the bits of a learner of its
-    own: L, predict() and the losses are (S, N), and update() returns the S
-    player losses.  The learning rate depends only on t, which they share.
+    seeds=S plays S seeds in lockstep, N <= 10,000, each with the bits of a
+    learner of its own: L, predict() and the losses are (S, N), and update()
+    returns the S player losses.  The learning rate depends only on t, which
+    they share.
     """
 
     def __init__(self, n: int, eta_schedule: Callable[[int], float] | None = None, seeds: int | None = None):
         self.n = check_count(n, "n")
         self.seeds = None if seeds is None else check_count(seeds, "seeds")
+        if self.seeds is not None and self.n > _DOT_CHUNK:  # dot() takes one row of a stack in one call
+            raise ValueError(f"a seed-batched learner has at most {_DOT_CHUNK} experts, got {self.n}")
         self.q = np.full(self.n, 1.0 / self.n)
         self.eta_schedule = eta_schedule if eta_schedule is not None else default_eta_schedule(self.n)
         self.L = np.zeros(self.n if seeds is None else (self.seeds, self.n))
@@ -466,11 +469,9 @@ def _play_rounds(learner, losses, adversary: Callable | None, certificates: bool
     elif certificates and hasattr(learner, "potential_sum") and hasattr(learner, "certificate"):
         step = lambda lvec: (learner.update(lvec), learner.potential_sum(), learner.certificate())  # noqa: E731
     record = step is not None
-    seeds = getattr(learner, "seeds", None)
-    shape = (t_len,) if seeds is None else (t_len, seeds)
-    player = np.empty(shape)
-    pots = np.empty(shape) if record else None
-    certs = np.empty(shape) if record else None
+    player = np.empty(t_len)
+    pots = np.empty(t_len) if record else None
+    certs = np.empty(t_len) if record else None
     rows = []
     for t in range(t_len):
         if adversary is None:

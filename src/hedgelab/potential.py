@@ -331,8 +331,8 @@ class ExpertBank:
     and C are (S, m), a row per seed; predict and update act on every row,
     certify on any rows, of every seed, and each gives each seed the bits of
     a bank of its own.  Its reductions run along the last axis, dot() gives
-    one dot per seed, a seed whose weights are all zero falls back to the
-    prior by itself, and no entry is gathered.
+    one dot per seed, so m is at most 10,000, a seed whose weights are all
+    zero falls back to the prior by itself, and no entry is gathered.
 
     Calls on every row without confidences, as the fixed and interval
     learners make, allocate nothing bank-sized: they compute in a contiguous
@@ -374,19 +374,20 @@ class ExpertBank:
         self._work = self._buf[1 + 2 * self._S :].reshape(-1)  # room for the (3, S, m) work block
 
     def _view(self, end: int) -> None:
-        """The row views of the first `end` entries, and the work block of every row."""
+        """The row views of the first `end` entries, and the work block of every row;
+        a bank of one seed takes seed 0 of each (S, m) view."""
         S, buf = self._S, self._buf
+        self.q, self.R, self.C = buf[0, :end], buf[1 : 1 + S, :end], buf[1 + S : 1 + 2 * S, :end]
+        self._block = self._work[: 3 * S * end].reshape(3, S, end)
         if self.seeds is None:
-            self.q, self.R, self.C = buf[0, :end], buf[1, :end], buf[2, :end]
-            self._block = self._work[: 3 * end].reshape(3, end)
-        else:
-            self.q, self.R, self.C = buf[0, :end], buf[1 : 1 + S, :end], buf[1 + S : 1 + 2 * S, :end]
-            self._block = self._work[: 3 * S * end].reshape(3, S, end)
+            self.R, self.C, self._block = self.R[0], self.C[0], self._block[:, 0]
 
     def add(self, priors) -> None:
         """Register one fresh row (R = C = 0) per prior weight, in order."""
         priors = np.asarray(priors, dtype=float)
         start, end = self.q.size, self.q.size + priors.size
+        if self.seeds is not None and end > _DOT_CHUNK:  # dot() takes one row of a stack in one call
+            raise ValueError(f"a seed-batched bank holds at most {_DOT_CHUNK} experts, got {end}")
         kept = 1 + 2 * self._S  # q, R and C
         if end > self._buf.shape[1]:
             old = self._buf
@@ -493,15 +494,10 @@ class ExpertBank:
 
     def _certify(self, rows, candidates: np.ndarray | None = None) -> tuple[float, float]:
         """certify(rows); candidates, when given, are ascending rows holding every row with R > 0."""
-        q = self.q[rows]
-        m = q.size
-        if self.seeds is None:  # phi is exactly 1 for R <= 0
-            R, C = self.R[rows], self.C[rows]
-            phi = _evaluate_where(_phi, R, C, 0.0, 1.0, self._work[:m], candidates, _phi_above)
-            log_c = np.log1p(C, out=self._work[m : 2 * m])
-        else:
-            R, C = self.R[:, rows], self.C[:, rows]
-            phi, log_c = _phi(R, C), np.log1p(C, out=self._work[: C.size].reshape(C.shape))
+        q, R, C = self.q[rows], self.R[..., rows], self.C[..., rows]
+        n = R.size
+        phi = _evaluate_where(_phi, R, C, 0.0, 1.0, self._work[:n], candidates, _phi_above)  # 1 for R <= 0
+        log_c = np.log1p(C, out=self._work[n : 2 * n].reshape(C.shape))
         log_c += 1.0
         pot, cap = _certificate(q, phi, log_c, q.sum())
         return (float(pot), float(cap)) if self.seeds is None else (pot, cap)

@@ -373,10 +373,6 @@ class TreeLearner:
         """Distinct traversed edges so far (the live expert count)."""
         return self.registry.seen_count
 
-    def _path(self, x) -> list:
-        """The memo of the leaf x reaches: [edges, child predictions, rows]."""
-        return self._memo(self.tree._leaf(x))
-
     def _memo(self, leaf: str) -> list:
         """The memo of a leaf: [edges, child predictions, rows]."""
         path = self._paths.get(leaf)
@@ -399,7 +395,7 @@ class TreeLearner:
 
     def predict(self, x) -> float:
         """Convex combination of child predictions along the traversed path."""
-        return self._weigh(self._path(x))[2]
+        return self._weigh(self._memo(self.tree._leaf(x)))[2]
 
     def update(self, x, loss_fn: LossFn) -> float:
         """Charge each awake edge loss_fn(its prediction); return the mixture loss.
@@ -415,7 +411,7 @@ class TreeLearner:
         routed once and the bank's weights, computed once, give both the
         prediction and the player loss.  Returns (prediction, player loss);
         losses outside [0, 1] raise before any edge is registered."""
-        path = self._path(x)
+        path = self._memo(self.tree._leaf(x))
         losses = check_losses([float(loss_fn(pred)) for pred in path[1]])
         rows, p, y = self._weigh(path)
         return y, self.registry._bank.update(losses, rows, p=p)
@@ -431,7 +427,7 @@ class TreeLearner:
         bank = self.registry._bank
         R, C = np.zeros((2, block, len(self.tree.parent)))  # row k: the bank after round k of a block
         sizes = np.zeros(block, dtype=int)
-        losses, records, realized_total = [], [], 0.0
+        losses, records, realized_total = [], [tuple(np.empty((4, 0)))], 0.0  # empty records for no rounds
         for t, (loss_fn, y, player_loss) in enumerate(played):
             realized_total += float(loss_fn(y))  # not sum(): from Python 3.12 on it compensates float sums
             losses.append(player_loss)
@@ -449,11 +445,11 @@ class TreeLearner:
             leaves, edge_losses = _pricing(self.tree, rounds)
             edge_losses = check_losses(edge_losses)
         except Exception:  # any failure of the up-front pass: play_round raises it at its round
-            return ((loss_fn, *self.play_round(x, loss_fn)) for x, loss_fn in rounds)
-        return self._play_priced(rounds, leaves, edge_losses)
-
-    def _play_priced(self, rounds, leaves: list[str], edge_losses: np.ndarray):
-        """_play's rounds from their leaves and their checked edge losses."""
+            leaves = None
+        if leaves is None:  # replayed outside the except block, so that no error chains onto the pricing's
+            for x, loss_fn in rounds:
+                yield loss_fn, *self.play_round(x, loss_fn)
+            return
         bank, start = self.registry._bank, 0
         for (_, loss_fn), leaf in zip(rounds, leaves):
             path = self._memo(leaf)
@@ -610,53 +606,39 @@ def save_tree(tree: TemplateTree, path) -> None:
 
 def load_tree_data(path) -> list[tuple[np.ndarray, float]]:
     """CSV with feature columns f0..fk and target column z, as (x, z) pairs
-    whose x are the rows of one (rows, k) float array.  Each row must have
-    as many cells as the header; the error names the first bad row, with
-    the message a row-by-row parse would give."""
+    whose x are the rows of one (rows, k) float array.  Each row is checked
+    as it is read, so the error names the first bad row: its cell count
+    against the header's, its features' parse and NaN, then its target's
+    parse and range.  Blank lines are skipped; a repeated column name takes
+    its last column."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "z" not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or "z" not in header:
             raise ValueError("data file needs feature columns f0..fk and a target column z")
-        feat_cols = sorted(
-            (c for c in reader.fieldnames if c.startswith("f")), key=lambda c: int(c[1:])
-        )
+        feat_cols = sorted((c for c in header if c.startswith("f")), key=lambda c: int(c[1:]))
         if feat_cols != [f"f{k}" for k in range(len(feat_cols))]:
             raise ValueError(f"feature columns must be f0..f{len(feat_cols) - 1}, got {feat_cols}")
-        width, k = len(reader.fieldnames), len(feat_cols)
-        values, lines, x = array("d"), array("q"), None  # x: the features of a row whose target did not parse
-        try:
-            for row in reader:
-                if None in row or None in row.values():  # DictReader's key for extra cells, value for missing ones
-                    cells = width + len(row[None]) if None in row else width - list(row.values()).count(None)
-                    raise ValueError(f"line {reader.line_num} has {cells} cells, the header has {width}")
-                x = [float(row[c]) for c in feat_cols]
-                x.append(float(row["z"]))
-                values.extend(x)
-                lines.append(reader.line_num)
-                x = None
-        except (ValueError, csv.Error):
-            _check_rows(np.array(values).reshape(-1, k + 1), lines)  # an earlier row's error comes first
-            if x is not None:
-                _check_rows(np.array([x + [0.0]]), [reader.line_num])  # so does this row's NaN feature
-            raise
+        column = {name: k for k, name in enumerate(header)}
+        features, target, width = [column[c] for c in feat_cols], column["z"], len(header)
+        values = array("d")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise ValueError(f"line {reader.line_num} has {len(row)} cells, the header has {width}")
+            x = [float(row[c]) for c in features]
+            if any(map(math.isnan, x)):  # x[f] < threshold is false for NaN, which would silently pick a child
+                raise ValueError(f"feature value NaN on line {reader.line_num}")
+            z = float(row[target])
+            if not 0.0 <= z <= 1.0:
+                raise ValueError(f"target {z} outside [0, 1]")
+            values.extend(x)
+            values.append(z)
     if not values:
         raise ValueError("data file is empty")
-    data = np.array(values).reshape(-1, k + 1)
-    _check_rows(data, lines)
+    data = np.array(values).reshape(-1, len(features) + 1)
     return list(zip(data[:, :-1], data[:, -1].tolist()))
-
-
-def _check_rows(data: np.ndarray, lines) -> None:
-    """Raise for the first row of data, a row of features and then the target
-    z, with a NaN feature or a z outside [0, 1], NaN included; lines[k] is
-    row k's line."""
-    nan = np.isnan(data[:, :-1]).any(axis=1)  # x[f] < threshold is false for NaN, which would silently pick a child
-    bad = nan | ~((data[:, -1] >= 0.0) & (data[:, -1] <= 1.0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        if nan[k]:
-            raise ValueError(f"feature value NaN on line {lines[k]}")
-        raise ValueError(f"target {float(data[k, -1])} outside [0, 1]")
 
 
 def save_tree_data(data: list[tuple[np.ndarray, float]], path) -> None:

@@ -5,7 +5,7 @@ import pytest
 
 from hedgelab.fixed import FixedLearner
 from hedgelab.lab import HedgeLearner, gen_adversarial, gen_shifting, play, rng_for
-from hedgelab.potential import ExpertBank, PotentialParams, dot
+from hedgelab.potential import ExpertBank, PotentialParams, _gather_rows, dot
 
 
 def same_bytes(a, b) -> bool:
@@ -159,6 +159,16 @@ class TestBatchedFixed:
         with pytest.raises(ValueError, match="seeds must be a whole number"):
             HedgeLearner(3, seeds=seeds)
 
+    def test_more_experts_than_one_dot_takes_are_refused(self):
+        with pytest.raises(ValueError, match="at most 10000 experts, got 10001"):
+            FixedLearner(np.full(10_001, 1 / 10_001), seeds=2)
+        bank = ExpertBank(seeds=2)
+        bank.add(np.ones(10_000))
+        with pytest.raises(ValueError, match="at most 10000 experts, got 10001"):
+            bank.add([1.0])
+        assert bank.q.size == 10_000
+        assert bank.update(np.full((2, 10_000), 0.5)).shape == (2,)
+
 
 class TestBatchedHedge:
     @pytest.mark.parametrize("n", [1, 2, 10, 33])
@@ -174,6 +184,11 @@ class TestBatchedHedge:
         with pytest.raises(ValueError, match="seed-batched learner plays a loss matrix"):
             play(HedgeLearner(3, seeds=2), 10, adversary=lambda t, p: np.zeros(3))
 
+    def test_more_experts_than_one_dot_takes_are_refused(self):
+        with pytest.raises(ValueError, match="at most 10000 experts, got 10001"):
+            HedgeLearner(10_001, seeds=2)
+        assert HedgeLearner(10_000, seeds=2).update(np.full((2, 10_000), 0.5)).shape == (2,)
+
 
 class TestBatchedBank:
     def test_certify_on_some_rows_is_each_seed_on_those_rows(self):
@@ -187,6 +202,23 @@ class TestBatchedBank:
             for k, bank in enumerate(alone):
                 bank.update(losses[k])
         for rows in (slice(None), slice(1, 4), np.array([0, 2, 5])):
+            pots, caps = batched.certify(rows)
+            for k, bank in enumerate(alone):
+                assert same_bytes([pots[k], caps[k]], bank.certify(rows))
+
+    def test_certify_gathers_each_seed_as_a_bank_of_its_own(self):
+        rng = rng_for(4, 9)
+        prior, losses = rng.random(1500), rng.random((40, 2, 1500))
+        losses[:, :, :150] *= 0.3  # a tenth of the rows end with R > 0
+        batched, alone = ExpertBank(seeds=2), [ExpertBank(), ExpertBank()]
+        for bank in (batched, *alone):
+            bank.add(prior)
+        for lvec in losses:
+            records = batched.update(lvec, certify=True)
+            for k, bank in enumerate(alone):
+                assert same_bytes([r[k] for r in records], bank.update(lvec[k], certify=True))
+        assert _gather_rows(batched.R, 0.0) is not None  # 3,000 entries, a tenth above 0: gathered
+        for rows in (slice(None), slice(3, 1493), np.arange(0, 1500, 3)):
             pots, caps = batched.certify(rows)
             for k, bank in enumerate(alone):
                 assert same_bytes([pots[k], caps[k]], bank.certify(rows))

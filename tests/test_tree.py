@@ -164,6 +164,11 @@ class TestTreeLearner:
         learner.update([0.1], squared_loss(0.3))
         assert learner.predict([0.1]) == pytest.approx(0.7, rel=REL)
 
+    def test_an_empty_run_records_four_empty_arrays(self, depth2_tree):
+        losses, total, records = TreeLearner(depth2_tree).play_rounds([], 4)
+        assert losses == [] and total == 0.0
+        assert [(r.dtype, r.shape) for r in records] == [(np.dtype(float), (0,))] * 4
+
     def test_mixture_loss_dominates_realized(self, depth2_tree):
         learner = TreeLearner(depth2_tree)
         rng = rng_for(2, 2)
@@ -509,6 +514,12 @@ class TestPlayRoundsFailure:
         message = self.assert_fails_as_the_loop(tree, rounds, 7)
         assert message == "input has no feature 2 required by node 'c'"
 
+    def test_the_replayed_error_chains_onto_no_other(self):
+        rounds = [(np.array([0.9, 0.5]), absolute_loss(0.5)), (np.array([0.9, 0.1]), absolute_loss(0.5))]
+        with pytest.raises(ValueError, match="input has no feature 2") as exc:
+            TreeLearner(uneven_tree()).play_rounds(rounds, 4)
+        assert exc.value.__context__ is None and exc.value.__cause__ is None
+
 
 class TestBestPruning:
     def test_recovers_generating_pruning(self):
@@ -665,6 +676,26 @@ class TestSerialization:
         assert [(x.tolist(), z) for x, z in data] == [([0.5, 0.25], 1.0), ([-0.0, 2.0], 0.0)]
         assert data[0][0].base is data[1][0].base is not None
         assert all(type(z) is float for _, z in data)
+
+    @pytest.mark.parametrize(
+        "text,rows",
+        [
+            ('f0,f1,z\r\n"0.5",0.25,1\r\n\r\n-0.0, 2 ,"0.0"\r\n\r\n', [([0.5, 0.25], 1.0), ([-0.0, 2.0], 0.0)]),
+            ("f0,z,f1,z\n0.1,0.9,0.2,0.3\n", [([0.1, 0.2], 0.3)]),
+            ("f0,id,f1,z\n0.5,7,0.25,0.5\n", [([0.5, 0.25], 0.5)]),
+        ],
+        ids=["crlf-quotes-blank-lines", "repeated-column", "other-column"],
+    )
+    def test_csv_dialect_and_columns(self, tmp_path, text, rows):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        assert repr([(x.tolist(), z) for x, z in load_tree_data(path)]) == repr(rows)  # repr tells -0.0 from 0.0
+
+    def test_a_line_of_blanks_is_a_row(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("f0,f1,z\n0.5,0.5,0.5\n \n")
+        with pytest.raises(ValueError, match="^line 3 has 1 cells, the header has 3$"):
+            load_tree_data(path)
 
     def test_data_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
