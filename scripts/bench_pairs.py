@@ -2,16 +2,23 @@
 """Alternating benchmark pairs: a parent checkout against this one.
 
     python3 scripts/bench_pairs.py PARENT_CHECKOUT [--pairs 5] [--seconds 20]
-        [--seeds 0 ...] [--label LABEL]
+        [--seeds 0 ...] [--label LABEL] [--work DIR]
+
+Both sides run from fresh copies under one directory, DIR/parent and
+DIR/change (a temporary directory, removed at the end, without --work):
+the files of PARENT_CHECKOUT and of this checkout, without .git, caches or
+bench output.  The two paths have the same length and the same age, since
+a fresh copy of an unchanged checkout, run against the checkout it was
+copied from, read `shifting` run_s 1.6% slower in 6 of 6 pairs.
 
 For every workload that BENCHMARK.json declares and every seed, runs
 `python3 bench/run.py --workload W --seed N --seconds S` PAIRS times in each
-checkout, alternating which checkout runs first, since this machine has slow
+copy, alternating which side runs first, since this machine has slow
 spells that would bias one side of a fixed order.  Prints every run's
 end-to-end metrics as it ends, then for each workload, seed and metric the
 parent's and this checkout's medians, their quartiles, and in how many pairs
 this checkout did better (ties count for neither).  Nothing under bench/
-changes; each run works in its own checkout's .bench_work/.
+changes; each run works in its own copy's .bench_work/.
 
 With --label, also runs `bench/run.py --trace 1` three times per workload in
 each checkout (first seed), alternating which checkout runs first, and
@@ -27,14 +34,30 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACED_RUNS = 3  # per side and workload; one traced pair cannot resolve a per-layer change of a few percent
+
+
+# left out of the fresh copies: what running, testing and benchmarking a checkout leave behind
+NOT_COPIED = shutil.ignore_patterns(".git", ".bench_work", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks")
+
+
+def fresh_copies(work: Path, sources: dict[str, Path]) -> dict[str, Path]:
+    """Each source checkout copied to work/<side>, replacing any earlier copy; every side name has one length."""
+    copies = {}
+    for side, source in sources.items():
+        copies[side] = work / side
+        shutil.rmtree(copies[side], ignore_errors=True)
+        shutil.copytree(source, copies[side], ignore=NOT_COPIED)
+    return copies
 
 
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -87,13 +110,25 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0], help="workload seeds, each run in its own pairs")
     parser.add_argument("--label", help="write BENCH_<LABEL>.json, with one traced run per side and workload")
+    parser.add_argument("--work", type=Path, help="directory for the two fresh copies, kept (default: a temporary one)")
     args = parser.parse_args(argv)
     if not (args.parent / "bench" / "run.py").is_file():
         parser.error(f"{args.parent} has no bench/run.py")
+    if args.work is None:
+        with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
+            return run_pairs(args, Path(work))
+    if any(args.work.resolve().is_relative_to(c) for c in (args.parent.resolve(), ROOT)):
+        parser.error(f"--work {args.work} lies inside a checkout it would copy")
+    args.work.mkdir(parents=True, exist_ok=True)
+    return run_pairs(args, args.work.resolve())
+
+
+def run_pairs(args, work: Path) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    checkouts = fresh_copies(work, {"parent": args.parent.resolve(), "change": ROOT})
     record = {
         "command": f"python3 bench/run.py --workload W --seed N --seconds {args.seconds:g} --trace 0|1",
+        "sides": "fresh copies of both checkouts, DIR/parent and DIR/change, under one directory",
         "pairs": args.pairs,
         "seeds": args.seeds,
         "environment": {},

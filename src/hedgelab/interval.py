@@ -12,11 +12,15 @@ birth order (row (tau-1)*N + i holds the copy of expert i born at tau), and
 every copy's (R, C) is updated every round: O(N*t) time per round and O(N*T)
 memory, so harness runs cap T around 20k.  A certified round,
 update(losses, certify=True), makes the passes over the N*t copies that the
-ExpertBank docstring lists.  Only the live copies (R > -1) cost an exp,
-because every other copy's weight is exactly zero: 94% of the copies are dead
-at the end of a 1500-round shifting run with N=10, 57% after 1500 i.i.d.
-uniform rounds.  Because the learner shares the bank, driving a registry with
-birth-scheduled ids reproduces its outputs bit for bit.
+ExpertBank docstring lists.  While at most 2/5 of the copies are live
+(R > -1), only those cost an exp, because every other copy's weight is
+exactly zero: 94% of the copies are dead at the end of a 1500-round shifting
+run with N=10, 57% after 1500 i.i.d. uniform rounds.  play_trace plays a
+whole loss matrix through the same round: it checks the matrix once, sizes
+the bank for every copy up front and registers each round's copies from one
+array of the priors, with the bits of update() once a round.  Because the
+learner shares the bank, driving a registry with birth-scheduled ids
+reproduces its outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -65,27 +69,54 @@ class TvLearner(BankCertificates):
         row = (tau - 1) * self.n + i
         return float(self._bank.R[row]), float(self._bank.C[row])
 
-    def _spawn(self) -> slice:
-        """Rows of every copy that plays the upcoming round, registering the
-        n copies born at that round (prior 1/t^2) on first use."""
+    def _spawn(self, priors=None) -> None:
+        """Register the n copies born at the upcoming round t, each with prior
+        1/t^2 (priors, when given, holds those n values), unless predict() has."""
         t = self.t + 1
         if self._bank.q.size < t * self.n:
-            self._bank.add([1.0 / t**2] * self.n)
-        return slice(0, t * self.n)
+            self._bank.add(np.full(self.n, 1.0 / t**2) if priors is None else priors)
 
     def predict(self) -> np.ndarray:
         """Distribution over base experts for the upcoming round."""
-        return self._bank.predict(self._spawn()).reshape(-1, self.n).sum(axis=0)
+        self._spawn()
+        return self._bank.predict().reshape(-1, self.n).sum(axis=0)
 
-    def update(self, losses, certify: bool = False):
+    def update(self, losses, certify: bool = False, *, checked: bool = False):
         """Consume one round of base-expert losses, return the player loss.
         With certify=True return (player loss, *certify()) of the new state,
-        the bits of update() then certify() from one pass over the copies."""
-        losses = check_losses(losses, self.n)
-        rows = self._spawn()
-        out = self._bank.update(losses, rows, certify=certify)  # every copy plays its expert's loss
+        the bits of update() then certify() from one pass over the copies.
+        checked=True skips the loss check, for a row of a loss array that
+        check_losses has passed whole (play_trace does)."""
+        losses = losses if checked else check_losses(losses, self.n)
+        self._spawn()
+        out = self._bank.update(losses, certify=certify)  # every copy plays its expert's loss
         self.t += 1
         return out
+
+    def play_trace(self, losses: np.ndarray, certify: bool = False):
+        """update() on each round of (T, N) losses, and return the T player
+        losses; with certify=True, (player losses, potential sums, caps), those
+        of update(losses, certify=True), bit for bit.  The losses are checked
+        once, as a whole, the bank is sized for every copy up front, and each
+        round registers its copies from one array of the priors 1/tau^2 and
+        plays through update(checked=True); when that check fails, each round
+        checks its own, so update() raises at the round and with the message
+        of the loop, and the learner holds the state the loop leaves."""
+        T = losses.shape[0]
+        try:
+            losses, checked = check_losses(losses, (T, self.n)), True
+        except ValueError:
+            checked = False
+        self._bank.reserve((self.t + T) * self.n)
+        # 1.0 / t**2 of each round t, bit for bit (t*t is exact below 2**53), n times a row
+        priors = np.repeat(1.0 / np.arange(self.t + 1.0, self.t + T + 1.0) ** 2, self.n).reshape(T, self.n)
+        records = []
+        for k, lvec in enumerate(losses):
+            if checked:
+                self._spawn(priors[k])
+            records.append(self.update(lvec, certify, checked=checked))
+        records = np.array(records, dtype=float).reshape(T, 3 if certify else 1).T
+        return tuple(records) if certify else records[0]
 
 
 # ---------------------------------------------------------------------------

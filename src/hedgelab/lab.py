@@ -251,12 +251,15 @@ def decomposition_bruteforce(v) -> float:
     a_eq = np.zeros((t_len, len(intervals)))
     for j, (s, e) in enumerate(intervals):
         a_eq[s : e + 1, j] = 1.0
+    # HiGHS's default feasibility tolerances (1e-7) read entries of v below them as 0:
+    # they priced [6e-8, 0, 6e-8] at 0, not 1.2e-7; at 1e-10 the optimum is exact to about 1e-10
     res = linprog(
         c=np.ones(len(intervals)),
         A_eq=a_eq,
         b_eq=v,
         bounds=[(0.0, None)] * len(intervals),
         method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     if not res.success:
         raise RuntimeError(f"interval cover program failed: {res.message}")
@@ -425,12 +428,14 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
     learners, or else with potential_sum() and certificate() (learners with
     neither yield None entries).
 
-    A learner with play_trace(), the fixed and hedge learners, is handed a
-    loss matrix whole and plays it with the bits of the round loop: the
-    fixed learner certifies its recorded states in blocks of rounds, and
-    hedge plays a block of rounds per set of numpy calls.  Every other play
-    is a round loop: one update(losses, certify=True) a round on a learner
-    with certify(), else update() then potential_sum() and certificate().
+    A learner with play_trace(), the fixed, interval and hedge learners, is
+    handed a loss matrix whole and plays it with the bits of the round loop:
+    the fixed learner certifies its recorded states in blocks of rounds, the
+    interval learner checks the matrix once and sizes its bank up front, and
+    hedge plays a block of rounds per set of numpy calls.  Every other play,
+    an adversary's or the sleeping registry's, is a round loop: one
+    update(losses, certify=True) a round on a learner with certify(), else
+    update() then potential_sum() and certificate().
 
     A seed-batched learner (seeds=S) plays (T, S, N) losses, with no
     adversary, and gives back a list of S records, one per seed.

@@ -142,7 +142,8 @@ def _weight(R: np.ndarray, C: np.ndarray, work: np.ndarray | None = None) -> np.
     and R - 1 stacked; the interval learner calls it on its live copies
     (R > -1) every round.  work, when given, is a contiguous (3, *R.shape)
     buffer to compute in, whose row 1 receives the weights."""
-    ab = np.add.outer(_SHIFTS, R, out=None if work is None else work[1:])  # R + (-1) is R - 1 bit for bit
+    # one broadcast add, with the bits of np.add.outer([1.0, -1.0], R); R + (-1) is R - 1 bit for bit
+    ab = np.add(_SHIFTS[R.ndim], R, out=None if work is None else work[1:])
     denom = np.add(C, 1.0, out=None if work is None else work[0])
     denom *= 3.0
     np.maximum(ab, 0.0, out=ab)
@@ -154,7 +155,8 @@ def _weight(R: np.ndarray, C: np.ndarray, work: np.ndarray | None = None) -> np.
     return a
 
 
-_SHIFTS = np.array([1.0, -1.0])
+# +1 and -1 as a column that broadcasts against an R of k dimensions, indexed by k
+_SHIFTS = tuple(np.array([1.0, -1.0]).reshape(2, *(1,) * k) for k in range(3))
 
 
 def check_losses(losses, n: int | tuple | None = None) -> np.ndarray:
@@ -251,31 +253,32 @@ def competitor_bound(c_u, a):
 # 20 ns a gathered entry, against about 10 ns an entry for evaluating them all
 # (weight_arr, 2-vCPU Xeon), plus one scan for the entries: gathering pays on
 # large arrays whose entries mostly need no evaluation, such as the interval
-# learner's copies.
+# learner's copies.  Up to what share: on 2,048 to 15,000 rows of a
+# whole-bank round, gathering the weights broke even with evaluating every row
+# at 43-50% of the rows live, and gathering the potentials from the live rows
+# already known was cheaper at every share up to 70%; so an array gathers when
+# at most 2/5 of its entries are above the edge, under both break-evens.
 _GATHER_MIN_SIZE = 2048
 
 
-def _gather_rows(R: np.ndarray, edge: float, candidates: np.ndarray | None = None) -> np.ndarray | None:
+def _gather_rows(R: np.ndarray, edge: float) -> np.ndarray | None:
     """The ascending flat indices of the entries R > edge when R has at least _GATHER_MIN_SIZE
-    entries and at most a quarter of them are above the edge; else None, for evaluating all.
-    candidates, when given, are ascending indices of a 1-d R that hold every entry above
-    the edge, filtered in place of a scan of R."""
+    entries and at most 2/5 of them are above the edge; else None, for evaluating all."""
     if R.size < _GATHER_MIN_SIZE:
         return None
-    idx = (R > edge).ravel().nonzero()[0] if candidates is None else candidates[R[candidates] > edge]
-    return idx if 4 * idx.size <= R.size else None
+    idx = (R > edge).ravel().nonzero()[0]
+    return idx if 5 * idx.size <= 2 * R.size else None
 
 
-def _evaluate_where(fn, R, C, edge: float, constant: float, out: np.ndarray | None = None,
-                    candidates: np.ndarray | None = None, above=None) -> np.ndarray:
+def _evaluate_where(fn, R, C, edge: float, constant: float, out: np.ndarray | None = None, above=None) -> np.ndarray:
     """fn(R, C) for a function that is exactly `constant` wherever R <= edge.
 
-    Where _gather_rows (given the candidates) picks entries, `above` (fn by
-    default; a form of fn valid only above the edge) runs on those only and
-    the constant fills the rest (of out, when given); either way the result is
-    the same bit for bit, so sums over it keep their order and value.
+    Where _gather_rows picks entries, `above` (fn by default; a form of fn
+    valid only above the edge) runs on those only and the constant fills the
+    rest (of out, when given); either way the result is the same bit for bit,
+    so sums over it keep their order and value.
     """
-    idx = _gather_rows(R, edge, candidates)
+    idx = _gather_rows(R, edge)
     if idx is None:
         return fn(R, C)
     out = np.empty(R.size) if out is None else out
@@ -320,9 +323,14 @@ def certify_stack(q: np.ndarray, R: np.ndarray, C: np.ndarray, sizes) -> np.ndar
     return out
 
 
+# The default `rows` of every ExpertBank call: every row.
+_EVERY = slice(None)
+
+
 class ExpertBank:
     """Prior q, regret R and accumulator C, one entry per expert in
-    registration order: views of one buffer that grows by doubling.
+    registration order: views of one buffer that grows by doubling, or to
+    the size reserve() names.
 
     `rows` selects the experts a call acts on: a slice for a contiguous
     block (all by default), an ascending int array for an awake set.
@@ -341,24 +349,26 @@ class ExpertBank:
     rows.  No call reads the block before writing it, so between calls the
     bank's state is q, R and C alone.
 
-    A certified round, update(losses, certify=True), scans once and makes
-    about a dozen passes over the m rows:
+    The whole-bank round, update(losses, certify=True) on every row, is the
+    one round of the fixed and interval learners, per round and in their
+    play_trace alike.  It scans once and makes about a dozen passes over the
+    m rows:
       - a block of losses repeated over the rows (the interval learner's
         copies play their expert's loss);
       - the one scan, _gather_rows: on a bank of at least 2,048 rows with at
-        most a quarter of them live, the prediction gathers the rows with
-        R > -1 and evaluates the weights (an exp each) only there;
+        most 2/5 of them live, the prediction gathers the rows with R > -1
+        and evaluates the weights (an exp each) only there;
       - the sum of the unnormalized weights, and the player loss by dot();
       - the (R, C) update;
       - the potentials, only on the gathered rows with R > 0, since no round
-        moves R by more than 1;
+        moves R by more than 1, else on every row;
       - 1 + ln(1 + C), the prior sum, and dot() for the potential sum and
         for its cap.
     Every pass but the gathered evaluations runs over every row in order, and
     weight is exactly 0 where R <= -1 and the potential exactly 1 where
     R <= 0, so gathering changes no bit.  The round allocates no array of the
-    bank's length but the potentials, when more than a quarter of the rows
-    have R > 0.
+    bank's length but the potentials, when more than 2/5 of the rows have
+    R > 0.
     """
 
     def __init__(self, params: PotentialParams | None = None, capacity: int = 0, seeds: int | None = None):
@@ -375,12 +385,22 @@ class ExpertBank:
 
     def _view(self, end: int) -> None:
         """The row views of the first `end` entries, and the work block of every row;
-        a bank of one seed takes seed 0 of each (S, m) view."""
+        a bank of one seed takes its (m,) rows of the buffer."""
         S, buf = self._S, self._buf
-        self.q, self.R, self.C = buf[0, :end], buf[1 : 1 + S, :end], buf[1 + S : 1 + 2 * S, :end]
-        self._block = self._work[: 3 * S * end].reshape(3, S, end)
         if self.seeds is None:
-            self.R, self.C, self._block = self.R[0], self.C[0], self._block[:, 0]
+            self.q, self.R, self.C = buf[0, :end], buf[1, :end], buf[2, :end]
+            self._block = self._work[: 3 * end].reshape(3, end)
+        else:
+            self.q, self.R, self.C = buf[0, :end], buf[1 : 1 + S, :end], buf[1 + S : 1 + 2 * S, :end]
+            self._block = self._work[: 3 * S * end].reshape(3, S, end)
+
+    def reserve(self, capacity: int) -> None:
+        """Room for `capacity` rows in all, so that adds up to that many copy no state."""
+        if capacity > self._buf.shape[1]:
+            old, kept, m = self._buf, 1 + 2 * self._S, self.q.size  # q, R and C
+            self._grow(capacity)
+            self._buf[:kept, :m] = old[:kept, :m]
+            self._view(m)
 
     def add(self, priors) -> None:
         """Register one fresh row (R = C = 0) per prior weight, in order."""
@@ -388,18 +408,16 @@ class ExpertBank:
         start, end = self.q.size, self.q.size + priors.size
         if self.seeds is not None and end > _DOT_CHUNK:  # dot() takes one row of a stack in one call
             raise ValueError(f"a seed-batched bank holds at most {_DOT_CHUNK} experts, got {end}")
-        kept = 1 + 2 * self._S  # q, R and C
         if end > self._buf.shape[1]:
-            old = self._buf
-            self._grow(max(end, 2 * old.shape[1]))
-            self._buf[:kept, :start] = old[:kept, :start]
+            self.reserve(max(end, 2 * self._buf.shape[1]))
         self._buf[0, start:end] = priors
-        self._buf[1:kept, start:end] = 0.0
+        self._buf[1 : 1 + 2 * self._S, start:end] = 0.0
         self._view(end)
 
     def _whole(self, rows, conf) -> bool:
         """Whether a call acts on every row, without confidences; a seed-batched bank makes no other call."""
-        whole = conf is None and isinstance(rows, slice) and rows.indices(self.q.size) == (0, self.q.size, 1)
+        whole = conf is None and (
+            rows is _EVERY or isinstance(rows, slice) and rows.indices(self.q.size) == (0, self.q.size, 1))
         if not whole and self.seeds is not None:
             raise ValueError("a seed-batched bank acts on every row, without confidences")
         return whole
@@ -433,7 +451,7 @@ class ExpertBank:
             p[live] = s_live / total
         return p, live
 
-    def predict(self, rows=slice(None), conf=None) -> np.ndarray:
+    def predict(self, rows=_EVERY, conf=None) -> np.ndarray:
         """p proportional to q * conf * weight(R, C) over the rows; when every
         such weight is zero, proportional to q * conf."""
         if self._whole(rows, conf):
@@ -446,7 +464,7 @@ class ExpertBank:
             s, total = q, q.sum()
         return s / total
 
-    def update(self, losses: np.ndarray, rows=slice(None), conf=None, p=None, certify: bool = False):
+    def update(self, losses: np.ndarray, rows=_EVERY, conf=None, p=None, certify: bool = False):
         """Charge the rows their (confidence-scaled) regret to the player loss
         p . losses, and return that player loss; losses must be checked.  When
         the rows are every row, losses may also be a block repeated over them
@@ -462,7 +480,6 @@ class ExpertBank:
         bank takes (S, m) losses and returns one value of each per seed."""
         if certify:
             self._certifiable()
-        live = None
         if not self._whole(rows, conf):
             if p is None:
                 p = self.predict(rows, conf)
@@ -470,39 +487,46 @@ class ExpertBank:
             r = player_loss - losses if conf is None else conf * (player_loss - losses)
             self.R[rows] += r
             self.C[rows] += self.params.increment(r)
-        else:
-            if p is None:
-                p, live = self._distribution()
-            r = self._block[0]  # clear of the weights
-            if losses.size != r.size:  # np.tile(losses, r.size // losses.size) by one broadcast copy
-                r.reshape(-1, losses.size)[:] = losses
-                losses = r
-            player_loss = dot(p, losses)
-            np.subtract(player_loss if self.seeds is None else player_loss[:, None], losses, out=r)
-            self.R += r
-            self.C += np.abs(r, out=r) if self.params.d == 1.0 else self.params.increment(r)
+            return (player_loss, *self._certify(rows)) if certify else player_loss
+        live = None
+        if p is None:
+            p, live = self._distribution()
+        r = self._block[0]  # clear of the weights
+        if losses.size != r.size:  # np.tile(losses, r.size // losses.size) by one broadcast copy
+            r.reshape(-1, losses.size)[:] = losses
+            losses = r
+        player_loss = dot(p, losses)
+        np.subtract(player_loss if self.seeds is None else player_loss[:, None], losses, out=r)
+        self.R += r
+        self.C += np.abs(r, out=r) if self.params.d == 1.0 else self.params.increment(r)
         return (player_loss, *self._certify(rows, live)) if certify else player_loss
 
     def _certifiable(self) -> None:
         if self.params.d != 1.0:
             raise ValueError("potential certificate is only supported for d = 1")
 
-    def certify(self, rows=slice(None)) -> tuple[float, float]:
+    def certify(self, rows=_EVERY) -> tuple[float, float]:
         """potential_sum(rows) and the cap it stays under (d = 1 only)."""
         self._certifiable()
         return self._certify(rows)
 
-    def _certify(self, rows, candidates: np.ndarray | None = None) -> tuple[float, float]:
-        """certify(rows); candidates, when given, are ascending rows holding every row with R > 0."""
-        q, R, C = self.q[rows], self.R[..., rows], self.C[..., rows]
+    def _certify(self, rows, live: np.ndarray | None = None) -> tuple[float, float]:
+        """certify(rows); live, when given, are the rows a whole-bank prediction gathered,
+        which hold every row with R > 0 and are at most 2/5 of the rows."""
+        q, R, C = (self.q, self.R, self.C) if rows is _EVERY else (self.q[rows], self.R[..., rows], self.C[..., rows])
         n = R.size
-        phi = _evaluate_where(_phi, R, C, 0.0, 1.0, self._work[:n], candidates, _phi_above)  # 1 for R <= 0
+        if live is None:
+            phi = _evaluate_where(_phi, R, C, 0.0, 1.0, self._work[:n], _phi_above)  # 1 for R <= 0
+        else:  # the rows above 0 are at most the live ones: gathered without a scan or a share test
+            above = live[R[live] > 0.0]
+            phi = self._work[:n]
+            phi.fill(1.0)
+            phi[above] = _phi_above(R[above], C[above])
         log_c = np.log1p(C, out=self._work[n : 2 * n].reshape(C.shape))
         log_c += 1.0
-        pot, cap = _certificate(q, phi, log_c, q.sum())
-        return (float(pot), float(cap)) if self.seeds is None else (pot, cap)
+        return _certificate(q, phi, log_c, float(q.sum()))
 
-    def potential_sum(self, rows=slice(None)) -> float:
+    def potential_sum(self, rows=_EVERY) -> float:
         """Potential sum over the rows, with the prior normalized over them."""
         return self._certify(rows)[0]
 
@@ -510,7 +534,7 @@ class ExpertBank:
 class BankCertificates:
     """The certify surface of a learner over the rows `_live` (all by default) of its ExpertBank `_bank`."""
 
-    _live = slice(None)
+    _live = _EVERY
 
     def potential_sum(self) -> float:
         """Prior-weighted potential sum over the live rows, the prior normalized over them."""

@@ -26,6 +26,7 @@ import csv
 import json
 import math
 import numbers
+import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,7 +130,11 @@ class TemplateTree:
         return [n.id for n in self.nodes.values() if not n.is_leaf]
 
     def depth(self) -> int:
-        return max(len(edges) for edges, _, _ in self._leaf_paths.values())
+        """Edges on the longest root-to-leaf path."""
+        depth, level = -1, [self.root]
+        while level:
+            depth, level = depth + 1, [c for nid in level for c in self.nodes[nid].children]
+        return depth
 
     def route_child(self, nid: str, x) -> str:
         node = self.nodes[nid]
@@ -189,20 +194,12 @@ class TemplateTree:
                 as_index(right), self.depth())
 
     @cached_property
-    def _leaf_paths(self) -> dict[str, tuple[list[Edge], list, list[int]]]:
+    def _leaf_paths(self) -> "_LeafPaths":
         """Each leaf's root-to-leaf edges, their child predictions and the
-        children's indices in self.nodes order."""
-        index = {nid: k for k, nid in enumerate(self.nodes)}
-        paths = {}
-        for nid, node in self.nodes.items():
-            if node.is_leaf:
-                edges, child = [], nid
-                while child != self.root:
-                    edges.append((self.parent[child], child))
-                    child = self.parent[child]
-                edges.reverse()
-                paths[nid] = (edges, [self.nodes[c].prediction for _, c in edges], [index[c] for _, c in edges])
-        return paths
+        children's indices in self.nodes order, resolved on a leaf's first
+        use: all of them would take memory quadratic in the depth of a
+        chain-shaped template."""
+        return _LeafPaths(self.nodes, self.parent, self.root)
 
     def traverse(self, x) -> list[Edge]:
         """Root-to-leaf edge path for input x; length equals the leaf's depth."""
@@ -225,17 +222,46 @@ class TemplateTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TemplateTree":
-        nodes = [
-            TreeNode(
+        """The tree of to_dict()'s form: `nodes` a list of objects, each node's
+        `children`, when present, a list of ids."""
+        if not isinstance(data["nodes"], list):
+            raise TypeError(f"nodes must be a list of objects, got {type(data['nodes']).__name__}")
+        nodes = []
+        for k, item in enumerate(data["nodes"]):
+            if not isinstance(item, dict):
+                raise ValueError(f"node {k} must be an object, got {item!r}")
+            children = [] if item.get("children") is None else item["children"]
+            if not isinstance(children, list):
+                raise ValueError(f"node {item.get('id', k)!r} needs a list of children, got {children!r}")
+            nodes.append(TreeNode(
                 id=str(item["id"]),
-                children=tuple(str(c) for c in item.get("children") or ()),
+                children=tuple(str(c) for c in children),
                 feature=item.get("feature"),
                 threshold=item.get("threshold"),
                 prediction=item.get("prediction"),
-            )
-            for item in data["nodes"]
-        ]
+            ))
         return cls(nodes, str(data["root"]))
+
+
+class _LeafPaths(dict):
+    """TemplateTree._leaf_paths: leaf -> (edges, child predictions, child
+    indices), each computed when first looked up.  It holds the tree's node
+    map and parent links, not the tree, so that no reference cycle keeps the
+    tree alive until the next garbage collection."""
+
+    def __init__(self, nodes: dict[str, TreeNode], parent: dict[str, str], root: str):
+        super().__init__()
+        self._nodes, self._parent, self._root = nodes, parent, root
+        self._index = {nid: k for k, nid in enumerate(nodes)}
+
+    def __missing__(self, leaf: str) -> tuple[list[Edge], list, list[int]]:
+        edges, child = [], leaf
+        while child != self._root:
+            edges.append((self._parent[child], child))
+            child = self._parent[child]
+        edges.reverse()
+        path = self[leaf] = edges, [self._nodes[c].prediction for _, c in edges], [self._index[c] for _, c in edges]
+        return path
 
 
 @dataclass(frozen=True)
@@ -498,22 +524,33 @@ def best_pruning(tree: TemplateTree, data: list[tuple]) -> tuple[float, int, Pru
 
 
 def _best_subtree(tree: TemplateTree, hit_loss: dict[str, float], nid: str) -> tuple[float, int, list[str]]:
-    """(loss, leaves, pruned nodes) of the best pruning of nid's subtree.  A
-    module function, not a closure, so that no reference cycle keeps the tree
-    and its routing tables alive until the next garbage collection."""
-    leaf_loss = hit_loss[nid]
-    if tree.nodes[nid].is_leaf:
-        return leaf_loss, 1, []
-    sub_loss, sub_leaves, sub_pruned = 0.0, 0, []
-    for child in tree.nodes[nid].children:
-        loss, leaves, pruned = _best_subtree(tree, hit_loss, child)
-        sub_loss += loss
-        sub_leaves += leaves
-        sub_pruned += pruned
-    # ties collapse to the single leaf, unreached subtrees (0 against 0) included
-    if nid != tree.root and leaf_loss <= sub_loss:
-        return leaf_loss, 1, [nid]
-    return sub_loss, sub_leaves, sub_pruned
+    """(loss, leaves, pruned nodes) of the best pruning of nid's subtree, by
+    one pass over its nodes in reverse pre-order, each after its children, so
+    that a template of any depth fits.  A node's subtree adds its children's
+    best losses in child order, from 0.0.  A module function, not a closure,
+    so that no reference cycle keeps the tree and its routing tables alive
+    until the next garbage collection."""
+    order, stack = [], [nid]
+    while stack:  # pre-order: every node before its descendants
+        order.append(stack.pop())
+        stack.extend(tree.nodes[order[-1]].children)
+    best: dict[str, tuple[float, int, list[str]]] = {}
+    for node in reversed(order):
+        children = tree.nodes[node].children
+        sub_loss, sub_leaves, sub_pruned = 0.0, 0, []
+        for child in children:
+            loss, leaves, pruned = best.pop(child)
+            sub_loss += loss
+            sub_leaves += leaves
+            sub_pruned += pruned
+        if not children:
+            best[node] = hit_loss[node], 1, []
+        # ties collapse to the single leaf, unreached subtrees (0 against 0) included
+        elif node != tree.root and hit_loss[node] <= sub_loss:
+            best[node] = hit_loss[node], 1, [node]
+        else:
+            best[node] = sub_loss, sub_leaves, sub_pruned
+    return best[nid]
 
 
 def best_pruning_bruteforce(tree: TemplateTree, data: list[tuple]) -> tuple[float, int]:
@@ -610,13 +647,15 @@ def load_tree_data(path) -> list[tuple[np.ndarray, float]]:
     as it is read, so the error names the first bad row: its cell count
     against the header's, its features' parse and NaN, then its target's
     parse and range.  Blank lines are skipped; a repeated column name takes
-    its last column."""
-    with open(path, newline="") as fh:
+    its last column.  The features are the columns named f<digits>; any other
+    column but z, such as id or fold, is ignored.  A UTF-8 byte-order mark
+    is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or "z" not in header:
             raise ValueError("data file needs feature columns f0..fk and a target column z")
-        feat_cols = sorted((c for c in header if c.startswith("f")), key=lambda c: int(c[1:]))
+        feat_cols = sorted((c for c in header if re.fullmatch(r"f[0-9]+", c)), key=lambda c: int(c[1:]))
         if feat_cols != [f"f{k}" for k in range(len(feat_cols))]:
             raise ValueError(f"feature columns must be f0..f{len(feat_cols) - 1}, got {feat_cols}")
         column = {name: k for k, name in enumerate(header)}

@@ -792,3 +792,45 @@ class TestSelfcheck:
     def test_mutated_weight_fails(self, capsys):
         assert run_cli(["selfcheck", "--mutate-weight", "1.01"]) == EXIT_CHECK_FAILED
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestTreeFileShapes:
+    def test_a_depth_5000_chain_runs(self, tmp_path, capsys):
+        # split d sends f0 < (d + 1) / 5001 to a leaf and the rest down the chain
+        depth, nodes = 5000, [{"id": "end", "prediction": 0.75}]
+        for d in range(depth):
+            node = {"id": f"n{d}", "feature": 0, "threshold": (d + 1) / (depth + 1),
+                    "children": [f"leaf{d}", f"n{d + 1}" if d + 1 < depth else "end"]}
+            nodes += [node if d == 0 else {**node, "prediction": 0.5}, {"id": f"leaf{d}", "prediction": 0.25}]
+        tree_path, data_path = tmp_path / "chain.json", tmp_path / "data.csv"
+        tree_path.write_text(json.dumps({"root": "n0", "nodes": nodes}))
+        data_path.write_text("f0,z\n" + "".join(f"{(k + 0.5) / 20},{k % 2}\n" for k in range(20)))
+        out = tmp_path / "out"
+        code = run_cli(["run", "--scenario", "tree", "--algo", "ada", "--tree", str(tree_path), "--data",
+                        str(data_path), "--out", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        assert json.loads((out / "summary.json").read_text())["results"][0]["best_pruning_leaves"] >= 1
+
+    @pytest.mark.parametrize("children", ["ab", {"a": 1, "b": 2}, 2], ids=["string", "object", "number"])
+    def test_children_not_a_list_is_bad_config(self, tmp_path, capsys, tree_fixture, children):
+        tree = {"root": "r", "nodes": [{"id": "r", "feature": 0, "threshold": 0.5, "children": children},
+                                       {"id": "a", "prediction": 0.25}, {"id": "b", "prediction": 0.75}]}
+        tree_path = tmp_path / "bad_tree.json"
+        tree_path.write_text(json.dumps(tree))
+        out = tmp_path / "out"
+        code = run_cli(["run", "--scenario", "tree", "--algo", "ada", "--tree", str(tree_path), "--data",
+                        str(tree_fixture[1]), "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: tree file ") and err.count("\n") == 1, err
+        assert "does not parse: ValueError: node 'r' needs a list of children" in err
+        assert not out.exists()
+
+    def test_a_node_not_an_object_is_bad_config(self, tmp_path, capsys, tree_fixture):
+        tree_path = tmp_path / "bad_tree.json"
+        tree_path.write_text(json.dumps({"root": "r", "nodes": ["r", "a", "b"]}))
+        code = run_cli(["run", "--scenario", "tree", "--algo", "ada", "--tree", str(tree_path), "--data",
+                        str(tree_fixture[1]), "--out", str(tmp_path / "out")])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert re.match(r"error: tree file .* does not parse: ValueError: node 0 must be an object, got 'r'\n$", err)

@@ -366,3 +366,53 @@ class TestGatheredSubsets:
             np.testing.assert_array_equal(bank.C[rows], C[rows] + np.abs(r))
             Rn, Cn = bank.R[rows], bank.C[rows]
             assert bank.potential_sum(rows) == float(np.dot(q[rows], phi_arr(Rn, Cn)) / q[rows].sum())
+
+
+def _weight_by_outer(R, C, work=None):
+    """_weight as it was written with np.add.outer, the reference for its broadcast form."""
+    ab = np.add.outer(np.array([1.0, -1.0]), R, out=None if work is None else work[1:])
+    denom = np.add(C, 1.0, out=None if work is None else work[0])
+    denom *= 3.0
+    np.maximum(ab, 0.0, out=ab)
+    np.multiply(ab, ab, out=ab)
+    np.divide(ab, denom, out=ab)
+    np.exp(ab, out=ab)
+    a = np.subtract(ab[0], ab[1], out=ab[0])
+    a *= 0.5
+    return a
+
+
+class TestWeightBroadcast:
+    """_weight's one broadcast add of +-1 gives the bits of np.add.outer, with
+    and without a work block, on 1-d rows and (S, m) seed stacks."""
+
+    @staticmethod
+    def _states(rng, shape):
+        m = int(np.prod(shape))
+        near = np.concatenate([EDGE_R, [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]])
+        R = np.concatenate([
+            near, -rng.uniform(1.0, 50.0, m // 4),  # R <= -1: weight exactly 0
+            near + rng.uniform(-1e-12, 1e-12, near.size), rng.uniform(-1.0, 60.0, m),
+        ])[:m]
+        C = np.abs(R) + np.concatenate([np.zeros(m // 3), rng.uniform(0.0, 2.0, m // 3), rng.uniform(100.0, 1500.0, m)])[:m]
+        C[np.abs(R) == 0.0] = 0.0  # C = 0 beside R = 0
+        return R.reshape(shape), C.reshape(shape)
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (300,), (2, 150), (3, 40)])
+    @pytest.mark.parametrize("with_work", [False, True])
+    def test_matches_outer_form(self, shape, with_work):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            R, C = self._states(rng, shape)
+            work, ref_work = (np.empty((3, *shape)), np.empty((3, *shape))) if with_work else (None, None)
+            got = potential._weight(R, C, work)
+            expected = _weight_by_outer(R, C, ref_work)
+            assert got.shape == shape and got.tobytes() == expected.tobytes()
+            if with_work:
+                assert np.shares_memory(got, work[1]) and work.tobytes() == ref_work.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 1e4)), min_size=1, max_size=20))
+    def test_matches_outer_form_on_drawn_states(self, pairs):
+        R, C = map(np.array, zip(*pairs))
+        assert potential._weight(R, C).tobytes() == _weight_by_outer(R, C).tobytes()

@@ -1,11 +1,13 @@
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hedgelab import tree as tree_module
 from hedgelab.lab import rng_for
 from hedgelab.sleeping import SleepingRegistry
 from hedgelab.tree import (
@@ -734,3 +736,93 @@ class TestFixtureScript:
             # the root's two children come first in id order and cover every other candidate
             assert chosen == [left, right][:count]
             PruningTree(frozenset(chosen)).validate(tree)
+
+
+# ---------------------------------------------------------------------------
+# Deep templates and input files.
+# ---------------------------------------------------------------------------
+
+
+def chain_tree_dict(depth: int) -> dict:
+    """A chain-shaped template of `depth` splits on f0: split d sends x < (d + 1) / (depth + 1)
+    to a leaf and the rest down the chain."""
+    nodes = []
+    for d in range(depth):
+        node = {"id": "r" if d == 0 else f"n{d}", "feature": 0, "threshold": (d + 1) / (depth + 1),
+                "children": [f"leaf{d}", f"n{d + 1}" if d + 1 < depth else "end"]}
+        if d:
+            node["prediction"] = 0.5
+        nodes += [node, {"id": f"leaf{d}", "prediction": (d % 5) / 4}]
+    return {"root": "r", "nodes": nodes + [{"id": "end", "prediction": 0.75}]}
+
+
+def best_subtree_recursive(tree, hit_loss, nid):
+    """best_pruning's bottom-up program as a recursion, one call per level: the reference."""
+    leaf_loss = hit_loss[nid]
+    if tree.nodes[nid].is_leaf:
+        return leaf_loss, 1, []
+    sub_loss, sub_leaves, sub_pruned = 0.0, 0, []
+    for child in tree.nodes[nid].children:
+        loss, leaves, pruned = best_subtree_recursive(tree, hit_loss, child)
+        sub_loss += loss
+        sub_leaves += leaves
+        sub_pruned += pruned
+    if nid != tree.root and leaf_loss <= sub_loss:
+        return leaf_loss, 1, [nid]
+    return sub_loss, sub_leaves, sub_pruned
+
+
+class TestIterativeBestPruning:
+    @pytest.mark.parametrize("make", ["chain-500", "random-6"])
+    def test_matches_the_recursion(self, make, monkeypatch):
+        rng = rng_for(5, 3)
+        if make == "chain-500":
+            tree = TemplateTree.from_dict(chain_tree_dict(500))
+            xs = rng.uniform(0.0, 1.0, (400, 1))
+        else:
+            tree = random_template_tree(6, 3, rng)
+            xs = rng.uniform(0.0, 1.0, (400, 3))
+        data = [(x, squared_loss(float(z))) for x, z in zip(xs, rng.uniform(0.0, 1.0, len(xs)))]
+        total, leaves, pruning = best_pruning(tree, data)
+        monkeypatch.setattr(tree_module, "_best_subtree", best_subtree_recursive)
+        ref_total, ref_leaves, ref_pruning = best_pruning(tree, data)
+        assert np.float64(total).tobytes() == np.float64(ref_total).tobytes()
+        assert (leaves, pruning) == (ref_leaves, ref_pruning)
+        assert ref_pruning.pruned_at and leaves > 1  # some subtrees collapse, others do not
+
+    def test_depth_counts_edges_on_the_longest_path(self):
+        assert TemplateTree.from_dict(chain_tree_dict(2000)).depth() == 2000
+
+
+class TestDataHeader:
+    ROWS = "0.1,0.2,0.5\n0.7,0.4,1.0\n"
+
+    @pytest.mark.parametrize("other", ["fold", "fx", "f", "id"])
+    def test_other_columns_are_ignored(self, tmp_path, other):
+        path = tmp_path / "data.csv"
+        path.write_text(f"f0,{other},z\n" + self.ROWS)
+        data = load_tree_data(path)
+        assert [(x.tolist(), z) for x, z in data] == [([0.1], 0.5), ([0.7], 1.0)]
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("f0,f1,z\n" + self.ROWS)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        got, expected = load_tree_data(marked), load_tree_data(plain)
+        assert [(x.tobytes(), z) for x, z in got] == [(x.tobytes(), z) for x, z in expected]
+        assert got[0][0].tolist() == [0.1, 0.2]
+
+    def test_the_benchmark_fixture_loads_the_same_bytes(self, tmp_path, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+        workloads.write_tree_fixture(0, 600, tmp_path)
+        data = load_tree_data(tmp_path / workloads.DATA_FILE)
+        # the reference reader: every column f0..f3 then z, parsed by float()
+        lines = (tmp_path / workloads.DATA_FILE).read_text().splitlines()
+        assert lines[0] == "f0,f1,f2,f3,z"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array([x for x, _ in data]).tobytes() == rows[:, :-1].tobytes()
+        assert np.array([z for _, z in data]).tobytes() == rows[:, -1].tobytes()

@@ -8,10 +8,13 @@ per-round surface: update(), or update(losses, certify=True), once a round.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from hedgelab import fixed
+from hedgelab import fixed, interval, potential
 from hedgelab.fixed import FixedLearner
-from hedgelab.lab import HedgeLearner, gen_adversarial, gen_stochastic_gap, play, rng_for
+from hedgelab.interval import TvLearner
+from hedgelab.lab import HedgeLearner, gen_adversarial, gen_shifting, gen_stochastic_gap, play, rng_for
 from hedgelab.potential import RECORD_BLOCK, PotentialParams
 
 
@@ -173,3 +176,93 @@ def test_the_fixed_learner_checks_a_whole_trace_once(monkeypatch, seeds):
         calls.clear()
         play(ada(4)(seeds), stacked_losses(4, T, seeds), certificates=certify)
         assert calls == [(T, 4) if seeds is None else (T, seeds, 4)]  # no round checks its own
+
+
+# ---------------------------------------------------------------------------
+# The interval learner: play_trace against one update() a round.  The cases
+# reach 3,000 copies with N = 10, past the 2,048 from which the bank gathers,
+# on shifting traces whose copies mostly die and on i.i.d. ones.
+# ---------------------------------------------------------------------------
+
+BAD_CELLS = [np.nan, np.inf, -np.inf, np.nextafter(1.0, 2.0), -np.nextafter(0.0, 1.0)]
+
+
+@st.composite
+def tv_cases(draw):
+    n = draw(st.sampled_from([1, 3, 10]))
+    played, t_len = draw(st.sampled_from([0, 0, 17, 150])), draw(st.integers(0, 300))
+    seed = draw(st.integers(0, 2**16))
+    rows = played + t_len + 1  # gen_shifting makes no empty trace; the last row is dropped
+    if draw(st.booleans()):
+        losses = gen_shifting(n, rows, min(3, rows), 0.25, 0.3, seed).losses[:-1].copy()
+    else:
+        losses = rng_for(seed, 5).random((rows - 1, n))
+    bad = None
+    if t_len and draw(st.booleans()):
+        bad = draw(st.integers(0, t_len - 1)), draw(st.integers(0, n - 1)), draw(st.sampled_from(BAD_CELLS))
+        losses[played + bad[0], bad[1]] = bad[2]
+    return n, losses[:played], losses[played:], draw(st.booleans()), bad
+
+
+def tv_rounds(learner, losses, certify):
+    """One update() a round: a row of player losses, then with certify rows of potential sums and caps."""
+    records = [learner.update(lvec, certify=certify) for lvec in losses]
+    return np.array(records, dtype=float).reshape(losses.shape[0], 3 if certify else 1).T
+
+
+def tv_state(learner):
+    return learner.t, learner._bank.q.tobytes(), learner._bank.R.tobytes(), learner._bank.C.tobytes()
+
+
+def outcome(call):
+    """call()'s result, or the type and message of what it raised."""
+    try:
+        return call(), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(case=tv_cases())
+def test_tv_play_trace_is_the_round_loop(case):
+    n, before, losses, certify, bad = case
+    whole, loop = TvLearner(n), TvLearner(n)
+    for learner in (whole, loop):
+        tv_rounds(learner, before, certify)  # a learner that has already played some rounds
+    got, got_error = outcome(lambda: whole.play_trace(losses, certify=certify))
+    expected, expected_error = outcome(lambda: tv_rounds(loop, losses, certify))
+    assert got_error == expected_error
+    assert (got_error is not None) == (bad is not None)
+    if bad is None:
+        assert isinstance(got, tuple) == certify
+        assert same_bytes(np.array(got).reshape(expected.shape), expected)
+    else:
+        assert whole.t == before.shape[0] + bad[0]
+    assert tv_state(whole) == tv_state(loop)
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_tv_play_checks_a_whole_trace_once(monkeypatch, certify):
+    calls = []
+    real = interval.check_losses
+    monkeypatch.setattr(interval, "check_losses", lambda *args: calls.append(args[1]) or real(*args))
+    losses = gen_shifting(4, 50, 3, 0.25, 0.3, 0).losses
+    record = play(TvLearner(4), losses, certificates=certify)
+    assert calls == [(50, 4)]  # no round checks its own
+    assert (record.potential_sums is not None) == certify
+
+
+def test_tv_play_trace_across_the_gather_share():
+    # past 2,048 copies the live share of this trace falls through 2/5: rounds on both sides of the gather rule
+    losses = gen_shifting(10, 300, 3, 0.25, 0.3, 0).losses
+    loop, shares = TvLearner(10), []
+    expected = []
+    for lvec in losses:
+        expected.append(loop.update(lvec, certify=True))
+        R = loop._bank.R
+        if R.size >= potential._GATHER_MIN_SIZE:
+            shares.append(5 * np.count_nonzero(R > -1.0) <= 2 * R.size)
+    assert {True, False} <= set(shares)
+    whole = TvLearner(10)
+    assert same_bytes(np.array(whole.play_trace(losses, certify=True)), np.array(expected).T)
+    assert tv_state(whole) == tv_state(loop)
