@@ -2,12 +2,11 @@
 """Alternating benchmark pairs: a parent checkout against this one.
 
     python3 scripts/bench_pairs.py PARENT_CHECKOUT [--pairs 5] [--seconds 20]
-        [--seeds 0 ...] [--label LABEL] [--work DIR]
+        [--seeds 0 ...] [--label LABEL]
 
-Both sides run from fresh copies under one directory, DIR/parent and
-DIR/change (a temporary directory, removed at the end, without --work):
-the files of PARENT_CHECKOUT and of this checkout, without .git, caches or
-bench output.  The two paths have the same length and the same age, since
+Both sides run from fresh copies under one new temporary directory, DIR/parent
+and DIR/change, removed at the end: the files of PARENT_CHECKOUT and of this
+checkout, without .git, caches or bench output.  The two paths have the same length and the same age, since
 a fresh copy of an unchanged checkout, run against the checkout it was
 copied from, read `shifting` run_s 1.6% slower in 6 of 6 pairs.
 
@@ -51,11 +50,10 @@ NOT_COPIED = shutil.ignore_patterns(".git", ".bench_work", "__pycache__", ".pyte
 
 
 def fresh_copies(work: Path, sources: dict[str, Path]) -> dict[str, Path]:
-    """Each source checkout copied to work/<side>, replacing any earlier copy; every side name has one length."""
+    """Each source checkout copied to work/<side>, a new directory; every side name has one length."""
     copies = {}
     for side, source in sources.items():
         copies[side] = work / side
-        shutil.rmtree(copies[side], ignore_errors=True)
         shutil.copytree(source, copies[side], ignore=NOT_COPIED)
     return copies
 
@@ -110,17 +108,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0], help="workload seeds, each run in its own pairs")
     parser.add_argument("--label", help="write BENCH_<LABEL>.json, with one traced run per side and workload")
-    parser.add_argument("--work", type=Path, help="directory for the two fresh copies, kept (default: a temporary one)")
     args = parser.parse_args(argv)
     if not (args.parent / "bench" / "run.py").is_file():
         parser.error(f"{args.parent} has no bench/run.py")
-    if args.work is None:
-        with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
-            return run_pairs(args, Path(work))
-    if any(args.work.resolve().is_relative_to(c) for c in (args.parent.resolve(), ROOT)):
-        parser.error(f"--work {args.work} lies inside a checkout it would copy")
-    args.work.mkdir(parents=True, exist_ok=True)
-    return run_pairs(args, args.work.resolve())
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
+        return run_pairs(args, Path(work))
 
 
 def run_pairs(args, work: Path) -> int:

@@ -17,10 +17,9 @@ ExpertBank docstring lists.  While at most 2/5 of the copies are live
 exactly zero: 94% of the copies are dead at the end of a 1500-round shifting
 run with N=10, 57% after 1500 i.i.d. uniform rounds.  play_trace plays a
 whole loss matrix through the same round: it checks the matrix once, sizes
-the bank for every copy up front and registers each round's copies from one
-array of the priors, with the bits of update() once a round.  Because the
-learner shares the bank, driving a registry with birth-scheduled ids
-reproduces its outputs bit for bit.
+the bank for every copy up front and plays each round through update(), with
+its bits.  Because the learner shares the bank, driving a registry with
+birth-scheduled ids reproduces its outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -69,12 +68,11 @@ class TvLearner(BankCertificates):
         row = (tau - 1) * self.n + i
         return float(self._bank.R[row]), float(self._bank.C[row])
 
-    def _spawn(self, priors=None) -> None:
-        """Register the n copies born at the upcoming round t, each with prior
-        1/t^2 (priors, when given, holds those n values), unless predict() has."""
+    def _spawn(self) -> None:
+        """Register the n copies born at the upcoming round t, each with prior 1/t^2, unless predict() has."""
         t = self.t + 1
         if self._bank.q.size < t * self.n:
-            self._bank.add(np.full(self.n, 1.0 / t**2) if priors is None else priors)
+            self._bank.add(np.full(self.n, 1.0 / t**2))
 
     def predict(self) -> np.ndarray:
         """Distribution over base experts for the upcoming round."""
@@ -98,23 +96,16 @@ class TvLearner(BankCertificates):
         losses; with certify=True, (player losses, potential sums, caps), those
         of update(losses, certify=True), bit for bit.  The losses are checked
         once, as a whole, the bank is sized for every copy up front, and each
-        round registers its copies from one array of the priors 1/tau^2 and
-        plays through update(checked=True); when that check fails, each round
-        checks its own, so update() raises at the round and with the message
-        of the loop, and the learner holds the state the loop leaves."""
+        round plays through update(checked=True); when that check fails, each
+        round checks its own, so update() raises at the round and with the
+        message of the loop, and the learner holds the state the loop leaves."""
         T = losses.shape[0]
         try:
             losses, checked = check_losses(losses, (T, self.n)), True
         except ValueError:
             checked = False
         self._bank.reserve((self.t + T) * self.n)
-        # 1.0 / t**2 of each round t, bit for bit (t*t is exact below 2**53), n times a row
-        priors = np.repeat(1.0 / np.arange(self.t + 1.0, self.t + T + 1.0) ** 2, self.n).reshape(T, self.n)
-        records = []
-        for k, lvec in enumerate(losses):
-            if checked:
-                self._spawn(priors[k])
-            records.append(self.update(lvec, certify, checked=checked))
+        records = [self.update(lvec, certify, checked=checked) for lvec in losses]
         records = np.array(records, dtype=float).reshape(T, 3 if certify else 1).T
         return tuple(records) if certify else records[0]
 

@@ -155,8 +155,15 @@ def _weight(R: np.ndarray, C: np.ndarray, work: np.ndarray | None = None) -> np.
     return a
 
 
-# +1 and -1 as a column that broadcasts against an R of k dimensions, indexed by k
-_SHIFTS = tuple(np.array([1.0, -1.0]).reshape(2, *(1,) * k) for k in range(3))
+class _Shifts(dict):
+    """+1 and -1 as a column that broadcasts against an R of k dimensions, keyed by k and built on first use."""
+
+    def __missing__(self, k: int) -> np.ndarray:
+        self[k] = column = np.array([1.0, -1.0]).reshape(2, *(1,) * k)
+        return column
+
+
+_SHIFTS = _Shifts()
 
 
 def check_losses(losses, n: int | tuple | None = None) -> np.ndarray:

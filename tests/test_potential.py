@@ -384,7 +384,8 @@ def _weight_by_outer(R, C, work=None):
 
 class TestWeightBroadcast:
     """_weight's one broadcast add of +-1 gives the bits of np.add.outer, with
-    and without a work block, on 1-d rows and (S, m) seed stacks."""
+    and without a work block, on 1-d rows, (S, m) seed stacks and arrays of
+    higher rank, which weight_arr passes through."""
 
     @staticmethod
     def _states(rng, shape):
@@ -398,7 +399,7 @@ class TestWeightBroadcast:
         C[np.abs(R) == 0.0] = 0.0  # C = 0 beside R = 0
         return R.reshape(shape), C.reshape(shape)
 
-    @pytest.mark.parametrize("shape", [(1,), (7,), (300,), (2, 150), (3, 40)])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (300,), (2, 150), (3, 40), (2, 3, 5), (2, 1, 2, 4)])
     @pytest.mark.parametrize("with_work", [False, True])
     def test_matches_outer_form(self, shape, with_work):
         rng = np.random.default_rng(sum(shape))
@@ -410,6 +411,10 @@ class TestWeightBroadcast:
             assert got.shape == shape and got.tobytes() == expected.tobytes()
             if with_work:
                 assert np.shares_memory(got, work[1]) and work.tobytes() == ref_work.tobytes()
+
+    def test_weight_arr_keeps_any_rank(self):
+        R, C = self._states(np.random.default_rng(3), (2, 3, 4))
+        assert potential.weight_arr(R, C).tobytes() == _weight_by_outer(R, C).tobytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 1e4)), min_size=1, max_size=20))
