@@ -11,15 +11,18 @@ adversarial, stochastic and shifting scenarios with ada, dt, hedge and tv,
 one adversarial run of ada, dt and hedge over five seeds listed out of order
 (each plays as one group of five seeds since seed batching), one of ada, dt
 and hedge with one expert over 130 rounds (two blocks of 64 rounds and a
-tail, and hedge's one-expert branch), one shifting
+tail), one shifting
 run whose --config file overrides its flags with the singular "algo" and
 "seed" keys and an integral-float "n", and one tree run over the "tree0"
 fixture's data with edge rows: a feature exactly on a split's threshold
 (which goes to the second child) in some rows and an inf or -inf feature in
 others.  The "tree0-format" config runs over the "tree0" fixture's data
-rewritten with CRLF line endings, quoted cells and blank lines.  Tree
-fixtures, their rewritten data and the config file are made once, with
-BASE_SRC, and shared by both trees.
+rewritten with CRLF line endings, quoted cells and blank lines;
+"tree0-seeds" runs the "tree0" fixture with --seed 3,1 (one task per seed);
+"tree0-bigint" runs it with one threshold rewritten as an integer past
+2**53, which no float equals, so that TemplateTree.route_rows routes row by
+row.  Tree fixtures, their rewritten files and the config file are made
+once, with BASE_SRC, and shared by both trees.
 
 Prints the first differing file and line of every config that differs and
 exits 1, or prints one line per identical config and exits 0.
@@ -54,6 +57,7 @@ def write_inputs(work: Path, src: Path) -> None:
     (work / "config.json").write_text(json.dumps(CONFIG_FILE))
     write_edge_rows(work / "tree0", work / "tree0-edges.csv")
     write_format_rows(work / "tree0", work / "tree0-format.csv")
+    write_bigint_tree(work / "tree0", work / "tree0-bigint.json")
 
 
 def write_edge_rows(fixture: Path, out: Path) -> None:
@@ -83,6 +87,16 @@ def write_format_rows(fixture: Path, out: Path) -> None:
     out.write_bytes(("\r\n".join(rows) + "\r\n\r\n").encode())
 
 
+def write_bigint_tree(fixture: Path, out: Path) -> None:
+    """The fixture's template with the threshold of its last split in id
+    order set to the integer 2**53 + 1, so that every row goes to that
+    split's first child."""
+    tree = json.loads((fixture / "tree.json").read_text())
+    splits = sorted((n for n in tree["nodes"] if n["children"]), key=lambda n: int(n["id"][1:]))
+    splits[-1]["threshold"] = 2**53 + 1
+    out.write_text(json.dumps(tree))
+
+
 def matrix(work: Path) -> dict[str, list[str]]:
     """Config name -> `hedgelab run` arguments (without --out)."""
     configs = {}
@@ -100,6 +114,14 @@ def matrix(work: Path) -> dict[str, list[str]]:
         "--scenario", "tree", "--algo", "ada", "--tree", str(work / "tree0" / "tree.json"),
         "--data", str(work / "tree0-format.csv"),
     ]
+    configs["tree0-seeds"] = [
+        "--scenario", "tree", "--algo", "ada", "--tree", str(work / "tree0" / "tree.json"),
+        "--data", str(work / "tree0" / "data.csv"), "--seed", "3,1",
+    ]
+    configs["tree0-bigint"] = [
+        "--scenario", "tree", "--algo", "ada", "--tree", str(work / "tree0-bigint.json"),
+        "--data", str(work / "tree0" / "data.csv"),
+    ]
     configs["adversarial"] = ["--scenario", "adversarial", "--algo", ALGOS, "--n", "5", "--t", "400", "--seeds", "2"]
     configs["adversarial-groups"] = [
         "--scenario", "adversarial", "--algo", "ada,dt,hedge", "--n", "10", "--t", "1000", "--seed", "9,2,5,0,7",
@@ -112,7 +134,7 @@ def matrix(work: Path) -> dict[str, list[str]]:
         "--scenario", "shifting", "--algo", ALGOS, "--n", "10", "--t", "1500", "--k", "3", "--alpha", "0.25",
         "--mu", "0.3", "--seed", "0,1",
     ]
-    configs["n1-blocks"] = [  # hedge's one-expert branch; two record blocks of 64 rounds and a tail
+    configs["n1-blocks"] = [  # one expert; two record blocks of 64 rounds and a tail
         "--scenario", "adversarial", "--algo", "ada,dt,hedge", "--n", "1", "--t", "130", "--seeds", "2",
     ]
     configs["config-file"] = [

@@ -134,21 +134,19 @@ class FixedLearner(BankCertificates):
         except ValueError:
             checked = False
         player = np.empty(shape)
-        if not certify:
-            for t, lvec in enumerate(losses):
-                player[t] = self.update(lvec, checked=checked)
-            return player
-        records = np.empty((2, *shape))  # potential sums and caps
-        R, C = np.empty((2, min(RECORD_BLOCK, shape[0]), *self.R.shape))  # row k: the state after round k
+        if certify:
+            records = np.empty((2, *shape))  # potential sums and caps
+            R, C = np.empty((2, min(RECORD_BLOCK, shape[0]), *self.R.shape))  # row k: the state after round k
         for t, lvec in enumerate(losses):
             player[t] = self.update(lvec, checked=checked)
-            k = t % RECORD_BLOCK
-            R[k], C[k] = self.R, self.C
-            if k == RECORD_BLOCK - 1 or t == shape[0] - 1:
-                states = R[: k + 1].reshape(-1, n), C[: k + 1].reshape(-1, n)  # a row per round and seed
-                stack = certify_stack(self.q, *states, np.full(states[0].shape[0], n))
-                records[:, t - k : t + 1] = stack[:2].reshape(2, k + 1, *shape[1:])
-        return player, *records
+            if certify:
+                k = t % RECORD_BLOCK
+                R[k], C[k] = self.R, self.C
+                if k == RECORD_BLOCK - 1 or t == shape[0] - 1:
+                    states = R[: k + 1].reshape(-1, n), C[: k + 1].reshape(-1, n)  # a row per round and seed
+                    stack = certify_stack(self.q, *states, np.full(states[0].shape[0], n))
+                    records[:, t - k : t + 1] = stack[:2].reshape(2, k + 1, *shape[1:])
+        return (player, *records) if certify else player
 
     def bound_coefficient(self, u) -> float:
         """A(u) = 3 * (RE(u||q) + ln B + ln(1 + ln N)) for competitor u."""

@@ -334,11 +334,11 @@ class HedgeLearner:
         self.t = 0
 
     def predict(self) -> np.ndarray:
-        if self.n == 1:
-            return np.ones(self.L.shape)
         return self._weights(self.L, self._eta(self.t + 1))
 
     def _eta(self, t: int) -> float:
+        if self.n == 1:  # the one expert's weight is 1 at any rate, and ln N = 0 gives the default schedule none
+            return 1.0
         eta = float(self.eta_schedule(t))
         if not (eta > 0.0 and math.isfinite(eta)):
             raise ValueError(f"learning rate must be positive, got {eta} at round {t}")
@@ -374,14 +374,11 @@ class HedgeLearner:
     def _play_block(self, losses: np.ndarray):
         try:
             check_losses(losses, (losses.shape[0], *self.L.shape))
-            eta = None if self.n == 1 else np.array([self._eta(self.t + 1 + j) for j in range(losses.shape[0])])
+            eta = np.array([self._eta(self.t + 1 + j) for j in range(losses.shape[0])])
         except ValueError:  # round by round, update() raises at the round and with the message of play()'s loop
             return [self.update(lvec) for lvec in losses]
         totals = np.cumsum(np.concatenate((self.L[None], losses)), axis=0)  # L before each round, then after
-        if eta is None:
-            p = np.ones(losses.shape)
-        else:
-            p = self._weights(totals[:-1], eta.reshape(-1, *(1,) * self.L.ndim))
+        p = self._weights(totals[:-1], eta.reshape(-1, *(1,) * self.L.ndim))
         player = dot(p, losses) if self.n <= _DOT_CHUNK else [dot(pk, lk) for pk, lk in zip(p, losses)]
         self.L[...] = totals[-1]
         self.t += losses.shape[0]

@@ -14,9 +14,10 @@ is treated exactly like an absent id (not registered, state untouched,
 prediction weight 0).
 
 tree.TreeLearner registers each root-to-leaf path once through the same
-registration step, in path order, keeps its rows per leaf and calls the bank
-with them directly: an edge is never registered before its ancestors, so rows
-ascend along every path, the order the mapping API would sort them into.
+registration step, in path order, keeps the rows per leaf (the path's edges
+stay the template's) and calls the bank with them directly: an edge is never
+registered before its ancestors, so rows ascend along every path, the order
+the mapping API would sort them into.
 round_records computes round_record() later, in one pass over the states
 that TreeLearner.play_rounds saves.
 """

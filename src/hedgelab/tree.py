@@ -17,7 +17,10 @@ of rounds from saved registry states, by SleepingRegistry.round_records.
 A run routes and prices its rows once: TemplateTree.route_rows routes every
 row in one vectorised pass, each edge on a row's path is priced by one call
 of the row's loss closure, and a TreeRounds keeps that pricing for both
-play_rounds and best_pruning.
+play_rounds and best_pruning.  A leaf's root-to-leaf edges and their child
+predictions are facts of the template, kept once in TemplateTree._leaf_paths
+for the pricing, best_pruning, traverse and TreeLearner, which adds only
+each leaf's bank rows.
 """
 
 from __future__ import annotations
@@ -376,12 +379,13 @@ def _pricing(tree: TemplateTree, rounds) -> tuple[list[str], np.ndarray]:
 class TreeLearner:
     """Online forecaster mixing edge-expert predictions of a template tree.
 
-    Edges are the ids of a SleepingRegistry.  Each leaf's root-to-leaf path is
-    resolved once and kept: its edges, their child predictions and, once
-    registered, their bank rows.  New edges are registered in path order and
-    never before their ancestors, so rows ascend along every path.  A call
-    routes x to its leaf and calls the registry's bank with the kept rows,
-    which gives the mapping API's results bit for bit (every confidence is 1).
+    Edges are the ids of a SleepingRegistry.  A leaf's edges and their child
+    predictions are the template's (TemplateTree._leaf_paths); the learner
+    keeps only each reached leaf's bank rows, registered on the leaf's first
+    round.  New edges are registered in path order and never before their
+    ancestors, so rows ascend along every path.  A call routes x to its leaf
+    and calls the registry's bank with the leaf's rows, which gives the
+    mapping API's results bit for bit (every confidence is 1).
     play_round does a whole round in one pass, routing x once and computing
     the bank's weights once for both the prediction and the update; it equals
     predict(x) followed by update(x, loss_fn) bit for bit.  play_rounds routes
@@ -392,36 +396,26 @@ class TreeLearner:
     def __init__(self, tree: TemplateTree):
         self.tree = tree
         self.registry = SleepingRegistry()
-        self._paths: dict[str, list] = {}  # leaf -> [edges, child predictions, bank rows once registered]
+        self._leaf_rows: dict[str, np.ndarray] = {}  # leaf -> bank rows of its path's edges
 
     @property
     def edges_seen(self) -> int:
         """Distinct traversed edges so far (the live expert count)."""
         return self.registry.seen_count
 
-    def _memo(self, leaf: str) -> list:
-        """The memo of a leaf: [edges, child predictions, rows]."""
-        path = self._paths.get(leaf)
-        if path is None:
-            edges, preds, _ = self.tree._leaf_paths[leaf]
-            path = self._paths[leaf] = [edges, np.array(preds), None]
-        return path
-
-    def _rows(self, path: list) -> np.ndarray:
-        """The bank rows of a memo's edges, registering them on first use."""
-        if path[2] is None:
-            path[2] = self.registry._register(path[0])
-        return path[2]
-
-    def _weigh(self, path: list) -> tuple[np.ndarray, np.ndarray, float]:
-        """A memo's bank rows, their weights and the mixture prediction."""
-        rows = self._rows(path)
+    def _weigh(self, leaf: str) -> tuple[np.ndarray, np.ndarray, float]:
+        """The bank rows of a leaf's path, registering them on first use, their
+        weights and the mixture prediction."""
+        edges, preds, _ = self.tree._leaf_paths[leaf]
+        rows = self._leaf_rows.get(leaf)
+        if rows is None:
+            rows = self._leaf_rows[leaf] = self.registry._register(edges)
         p = self.registry._bank.predict(rows)
-        return rows, p, float(sum(w * pred for w, pred in zip(p.tolist(), path[1])))
+        return rows, p, float(sum(w * pred for w, pred in zip(p.tolist(), preds)))
 
     def predict(self, x) -> float:
         """Convex combination of child predictions along the traversed path."""
-        return self._weigh(self._memo(self.tree._leaf(x)))[2]
+        return self._weigh(self.tree._leaf(x))[2]
 
     def update(self, x, loss_fn: LossFn) -> float:
         """Charge each awake edge loss_fn(its prediction); return the mixture loss.
@@ -437,9 +431,9 @@ class TreeLearner:
         routed once and the bank's weights, computed once, give both the
         prediction and the player loss.  Returns (prediction, player loss);
         losses outside [0, 1] raise before any edge is registered."""
-        path = self._memo(self.tree._leaf(x))
-        losses = check_losses([float(loss_fn(pred)) for pred in path[1]])
-        rows, p, y = self._weigh(path)
+        leaf = self.tree._leaf(x)
+        losses = check_losses([float(loss_fn(pred)) for pred in self.tree._leaf_paths[leaf][1]])
+        rows, p, y = self._weigh(leaf)
         return y, self.registry._bank.update(losses, rows, p=p)
 
     def play_rounds(self, rounds: list[tuple], block: int) -> tuple[list, float, tuple[np.ndarray, ...]]:
@@ -478,9 +472,8 @@ class TreeLearner:
             return
         bank, start = self.registry._bank, 0
         for (_, loss_fn), leaf in zip(rounds, leaves):
-            path = self._memo(leaf)
-            end = start + len(path[1])
-            rows, p, y = self._weigh(path)
+            rows, p, y = self._weigh(leaf)
+            end = start + rows.size
             yield loss_fn, y, bank.update(edge_losses[start:end], rows, p=p)
             start = end
 
@@ -644,9 +637,9 @@ def save_tree(tree: TemplateTree, path) -> None:
 def load_tree_data(path) -> list[tuple[np.ndarray, float]]:
     """CSV with feature columns f0..fk and target column z, as (x, z) pairs
     whose x are the rows of one (rows, k) float array.  Each row is checked
-    as it is read, so the error names the first bad row: its cell count
-    against the header's, its features' parse and NaN, then its target's
-    parse and range.  Blank lines are skipped; a repeated column name takes
+    as it is read, so the error names the first bad row and its line: its
+    cell count against the header's, its features' parse and NaN, then its
+    target's parse and range.  Blank lines are skipped; a repeated column name takes
     its last column.  The features are the columns named f<digits>; any other
     column but z, such as id or fold, is ignored.  A UTF-8 byte-order mark
     is skipped."""
@@ -666,12 +659,15 @@ def load_tree_data(path) -> list[tuple[np.ndarray, float]]:
                 continue
             if len(row) != width:
                 raise ValueError(f"line {reader.line_num} has {len(row)} cells, the header has {width}")
-            x = [float(row[c]) for c in features]
-            if any(map(math.isnan, x)):  # x[f] < threshold is false for NaN, which would silently pick a child
-                raise ValueError(f"feature value NaN on line {reader.line_num}")
-            z = float(row[target])
-            if not 0.0 <= z <= 1.0:
-                raise ValueError(f"target {z} outside [0, 1]")
+            try:
+                x = [float(row[c]) for c in features]
+                if any(map(math.isnan, x)):  # x[f] < threshold is false for NaN, which would silently pick a child
+                    raise ValueError("feature value NaN")
+                z = float(row[target])
+                if not 0.0 <= z <= 1.0:
+                    raise ValueError(f"target {z} outside [0, 1]")
+            except ValueError as exc:
+                raise ValueError(f"{exc} on line {reader.line_num}") from None
             values.extend(x)
             values.append(z)
     if not values:

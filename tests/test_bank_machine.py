@@ -5,8 +5,9 @@ accumulators C, and nothing else.  After every call the bytes of q, R and C,
 and every value the call returned, equal those of plain formulas on dense
 arrays, with no gathered rows and no work block, and |R| <= C holds.  Dead
 rows (R <= -1) are seeded through FixedLearner's R and C setters, so that
-the sizes cross the 2,048 rows from which the bank gathers, the quarter of
-live rows up to which it does, and a doubling of the bank's buffer.
+the sizes cross the 2,048 rows from which the bank gathers, the 2/5 of live
+rows up to which it does (potential._gather_rows decides both), and a
+doubling of the bank's buffer.
 """
 
 import numpy as np
@@ -17,9 +18,8 @@ from hypothesis.stateful import (
 )
 
 from hedgelab.fixed import FixedLearner
-from hedgelab.potential import dot, phi_arr, weight_arr
+from hedgelab.potential import _gather_rows, dot, phi_arr, weight_arr
 
-GATHER_MIN = 2048  # the bank gathers on at least this many rows, at most a quarter of them above the edge
 MAX_ROWS = 6000
 ROW_KINDS = ["every", "slice", "ints", "ints with confidences"]
 
@@ -42,7 +42,8 @@ def dense_certify(q, R, C, rows):
 
 
 def gathers(R, edge) -> bool:
-    return R.size >= GATHER_MIN and 4 * np.count_nonzero(R > edge) <= R.size
+    """Whether the bank's gather rule picks rows of R: at least 2,048 of them, at most 2/5 above the edge."""
+    return _gather_rows(R, edge) is not None
 
 
 class BankMachine(RuleBasedStateMachine):

@@ -304,31 +304,30 @@ class TestLivenessIndex:
 
     @staticmethod
     def _losses(n=10, t_len=700):
-        # i.i.d. rounds keep many copies live; then expert 0 wins every round and the
+        # i.i.d. rounds keep many copies live; then expert 0 wins 30 rounds and the
         # other copies die; then i.i.d. rounds again, where newborn copies stay live
         rng = np.random.default_rng(11)
         losses = rng.uniform(0.0, 1.0, (t_len, n))
-        losses[250:450] = rng.uniform(0.5, 1.0, (200, n))
-        losses[250:450, 0] = 0.0
+        losses[250:280] = rng.uniform(0.5, 1.0, (30, n))
+        losses[250:280, 0] = 0.0
         return losses
 
     @staticmethod
     def _play(losses):
         learner = TvLearner(losses.shape[1])
-        records, shares = [], []
+        records, gathers = [], []
         for lvec in losses:
             player_loss = learner.update(lvec)
             records.append((player_loss, *learner.certify()))
-            R = learner._bank.R
-            shares.append((R.size, np.count_nonzero(R > -1.0) / R.size))
-        return np.array(records), shares
+            gathers.append(potential._gather_rows(learner._bank.R, -1.0) is not None)
+        return np.array(records), gathers
 
     def test_gathered_rounds_match_dense_rounds(self, monkeypatch):
         losses = self._losses()
-        gathered, shares = self._play(losses)
-        above = [share > 0.25 for size, share in shares if size >= potential._GATHER_MIN_SIZE]
-        crossings = [a for a, b in zip(above, above[1:]) if a != b]
-        assert crossings[:2] == [True, False], "the live share must cross 1/4 downward, then upward"
+        gathered, gathers = self._play(losses)
+        assert gathers[potential._GATHER_MIN_SIZE // losses.shape[1]] is False  # many live copies at 2,048 rows
+        flips = [b for a, b in zip(gathers, gathers[1:]) if a != b]
+        assert flips[:2] == [True, False], "the live share must cross 2/5 downward, then upward"
         monkeypatch.setattr(potential, "_GATHER_MIN_SIZE", 10**9)  # no index: every round is dense
         dense, _ = self._play(losses)
         assert gathered.tobytes() == dense.tobytes()

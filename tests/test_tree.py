@@ -661,9 +661,14 @@ class TestSerialization:
             ("f0,f1,z\n0.5,0.5\n", "line 2 has 2 cells, the header has 3"),
             ("f0,f1,z\n0.5,0.5,0.5,0.9\n", "line 2 has 4 cells, the header has 3"),
             ("f0,f1,z\n0.5,0.5,1.5\n0.5,0.5\n", "target 1.5 outside"),
+            ("f0,f1,z\n0.5,0.5,0.5\n0.5,abc,0.5\n", r"could not convert string to float: 'abc' on line 3$"),
+            ("f0,f1,z\n0.5,0.5,0.5\n\n0.5,0.5,abc\n", r"could not convert string to float: 'abc' on line 4$"),
+            ("f0,f1,z\n0.5,0.5,0.5\n0.5,0.5,1.5\n", r"target 1\.5 outside \[0, 1\] on line 3$"),
+            ("f0,f1,z\n0.5,0.5,-0.25\n", r"target -0\.25 outside \[0, 1\] on line 2$"),
         ],
         ids=["nan-before-bad-cell", "target-before-nan", "nan-before-bad-target", "bad-cell-first",
-             "blank-line", "short-row", "long-row", "target-before-short-row"],
+             "blank-line", "short-row", "long-row", "target-before-short-row", "bad-feature-line",
+             "bad-target-line", "target-above-one-line", "target-below-zero-line"],
     )
     def test_the_first_bad_row_names_the_error(self, tmp_path, text, message):
         path = tmp_path / "data.csv"
