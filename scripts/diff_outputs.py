@@ -11,12 +11,13 @@ adversarial, stochastic and shifting scenarios with ada, dt, hedge and tv,
 one adversarial run of ada, dt and hedge over five seeds listed out of order
 (each plays as one group of five seeds since seed batching), one of ada, dt
 and hedge with one expert over 130 rounds (two blocks of 64 rounds and a
-tail), one shifting
-run whose --config file overrides its flags with the singular "algo" and
-"seed" keys and an integral-float "n", and one tree run over the "tree0"
-fixture's data with edge rows: a feature exactly on a split's threshold
-(which goes to the second child) in some rows and an inf or -inf feature in
-others.  The "tree0-format" config runs over the "tree0" fixture's data
+tail), one of tv with one expert over 3,000 rounds (past the 2,048 copies
+from which the interval learner's rounds apply the gather rule, on a tile of
+one loss), one shifting run whose --config file overrides its flags with the
+singular "algo" and "seed" keys and an integral-float "n", and one tree run
+over the "tree0" fixture's data with edge rows: a feature exactly on a
+split's threshold (which goes to the second child) in some rows and an inf
+or -inf feature in others.  The "tree0-format" config runs over the "tree0" fixture's data
 rewritten with CRLF line endings, quoted cells and blank lines;
 "tree0-seeds" runs the "tree0" fixture with --seed 3,1 (one task per seed);
 "tree0-bigint" runs it with one threshold rewritten as an integer past
@@ -136,6 +137,9 @@ def matrix(work: Path) -> dict[str, list[str]]:
     ]
     configs["n1-blocks"] = [  # one expert; two record blocks of 64 rounds and a tail
         "--scenario", "adversarial", "--algo", "ada,dt,hedge", "--n", "1", "--t", "130", "--seeds", "2",
+    ]
+    configs["tv-n1"] = [  # one expert; 3,000 copies, past the 2,048 from which the gather rule applies
+        "--scenario", "adversarial", "--algo", "tv", "--n", "1", "--t", "3000", "--seeds", "1",
     ]
     configs["config-file"] = [
         "--scenario", "adversarial", "--algo", "hedge", "--n", "3", "--t", "50", "--seeds", "2",

@@ -55,9 +55,9 @@ class FixedLearner(BankCertificates):
     overall scale of the prior).  d=0 gives the round-counting variant whose
     accumulator is simply the round index.
 
-    seeds=S plays S seeds in lockstep under the one prior, N <= 10,000, each
-    with the bits of a learner of its own: R, C, predict() and the losses are
-    (S, N), and update() and the certify surface give one value per seed.
+    seeds=S plays S seeds in lockstep under the one prior, each with the bits
+    of a learner of its own: R, C, predict() and the losses are (S, N), and
+    update() and the certify surface give one value per seed.
     The regret bounds are for a learner of one seed.
     """
 

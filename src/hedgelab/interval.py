@@ -16,10 +16,18 @@ ExpertBank docstring lists.  While at most 2/5 of the copies are live
 (R > -1), only those cost an exp, because every other copy's weight is
 exactly zero: 94% of the copies are dead at the end of a 1500-round shifting
 run with N=10, 57% after 1500 i.i.d. uniform rounds.  play_trace plays a
-whole loss matrix through the same round: it checks the matrix once, sizes
-the bank for every copy up front and plays each round through update(), with
-its bits.  Because the learner shares the bank, driving a registry with
-birth-scheduled ids reproduces its outputs bit for bit.
+whole loss matrix with the bits of update() a round, its reference: it
+checks the matrix once, registers every copy the trace needs by one add(),
+and plays the rounds in one loop, ExpertBank.play.  For the call only, that
+loop keeps the weights and potentials in rows that a gathered round resets
+only where it wrote them last, and the round's records in arrays.  It has
+no fallback to the prior for a round whose weights all vanish, since none
+can here: a round's fresh copies have R = C = 0 and weight
+0.5 (e^(1/3) - 1) > 0.  update() given a (T, N) array plays it as
+play_trace does, and play_trace goes through update(), so that a timer
+around update() also times whole traces.  Because the learner shares the
+bank, driving a registry with birth-scheduled ids reproduces its outputs bit
+for bit.
 """
 
 from __future__ import annotations
@@ -79,13 +87,17 @@ class TvLearner(BankCertificates):
         self._spawn()
         return self._bank.predict().reshape(-1, self.n).sum(axis=0)
 
-    def update(self, losses, certify: bool = False, *, checked: bool = False):
+    def update(self, losses, certify: bool = False):
         """Consume one round of base-expert losses, return the player loss.
         With certify=True return (player loss, *certify()) of the new state,
         the bits of update() then certify() from one pass over the copies.
-        checked=True skips the loss check, for a row of a loss array that
-        check_losses has passed whole (play_trace does)."""
-        losses = losses if checked else check_losses(losses, self.n)
+        A (T, N) array of losses is a whole trace, which update() plays and
+        returns as play_trace() describes."""
+        losses = np.asarray(losses, dtype=float)
+        return self._play(losses, certify) if losses.ndim == 2 else self._round(losses, certify)
+
+    def _round(self, losses, certify: bool):
+        losses = check_losses(losses, self.n)
         self._spawn()
         out = self._bank.update(losses, certify=certify)  # every copy plays its expert's loss
         self.t += 1
@@ -95,19 +107,29 @@ class TvLearner(BankCertificates):
         """update() on each round of (T, N) losses, and return the T player
         losses; with certify=True, (player losses, potential sums, caps), those
         of update(losses, certify=True), bit for bit.  The losses are checked
-        once, as a whole, the bank is sized for every copy up front, and each
-        round plays through update(checked=True); when that check fails, each
-        round checks its own, so update() raises at the round and with the
-        message of the loop, and the learner holds the state the loop leaves."""
+        once, as a whole; one add() registers every copy the trace needs (but
+        those predict() has spawned), and ExpertBank.play plays the rounds.
+        When that check fails, each round plays as update() plays one and
+        checks its own, so it raises at the round and with the message of the
+        loop, and the learner holds the state the loop leaves.  A (T, N) trace
+        goes through update(), whose trace form this is, so that a timer
+        wrapped around update() (bench/tracer.py) also times whole traces."""
+        return self.update(losses, certify) if np.ndim(losses) == 2 else self._play(losses, certify)
+
+    def _play(self, losses: np.ndarray, certify: bool):
         T = losses.shape[0]
-        try:
-            losses, checked = check_losses(losses, (T, self.n)), True
-        except ValueError:
-            checked = False
         self._bank.reserve((self.t + T) * self.n)
-        records = [self.update(lvec, certify, checked=checked) for lvec in losses]
-        records = np.array(records, dtype=float).reshape(T, 3 if certify else 1).T
-        return tuple(records) if certify else records[0]
+        try:
+            losses = check_losses(losses, (T, self.n))
+        except ValueError:
+            records = [self._round(lvec, certify) for lvec in losses]
+            records = np.array(records, dtype=float).reshape(T, 3 if certify else 1).T
+            return tuple(records) if certify else records[0]
+        births = np.arange(self._bank.q.size // self.n + 1, self.t + T + 1)
+        self._bank.add(np.repeat(1.0 / births**2, self.n))
+        records = self._bank.play(losses, range((self.t + 1) * self.n, (self.t + T + 1) * self.n, self.n), certify)
+        self.t += T
+        return records
 
 
 # ---------------------------------------------------------------------------

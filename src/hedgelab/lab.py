@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .potential import _DOT_CHUNK, RECORD_BLOCK, check_count, check_losses, check_trace, dot
+from .potential import RECORD_BLOCK, check_count, check_losses, check_trace, dot
 
 __all__ = [
     "STREAM_LOSSES",
@@ -317,17 +317,14 @@ def default_eta_schedule(n: int) -> Callable[[int], float]:
 class HedgeLearner:
     """Exponential weights: p_{t,i} proportional to q_i exp(-eta_t L_{t-1,i}).
 
-    seeds=S plays S seeds in lockstep, N <= 10,000, each with the bits of a
-    learner of its own: L, predict() and the losses are (S, N), and update()
-    returns the S player losses.  The learning rate depends only on t, which
-    they share.
+    seeds=S plays S seeds in lockstep, each with the bits of a learner of its
+    own: L, predict() and the losses are (S, N), and update() returns the S
+    player losses.  The learning rate depends only on t, which they share.
     """
 
     def __init__(self, n: int, eta_schedule: Callable[[int], float] | None = None, seeds: int | None = None):
         self.n = check_count(n, "n")
         self.seeds = None if seeds is None else check_count(seeds, "seeds")
-        if self.seeds is not None and self.n > _DOT_CHUNK:  # dot() takes one row of a stack in one call
-            raise ValueError(f"a seed-batched learner has at most {_DOT_CHUNK} experts, got {self.n}")
         self.q = np.full(self.n, 1.0 / self.n)
         self.eta_schedule = eta_schedule if eta_schedule is not None else default_eta_schedule(self.n)
         self.L = np.zeros(self.n if seeds is None else (self.seeds, self.n))
@@ -364,8 +361,7 @@ class HedgeLearner:
         set of numpy calls per RECORD_BLOCK rounds: the totals before each round by
         np.cumsum from the carried L, the sequential adds of L += losses; each
         round's learning rate from the schedule and its weights summed along
-        the last axis; the player losses by dot() of each row, one stacked
-        matmul up to 10,000 experts."""
+        the last axis; the player losses by one stacked dot() of the rows."""
         player = np.empty((losses.shape[0], *self.L.shape[:-1]))
         for start in range(0, losses.shape[0], RECORD_BLOCK):
             player[start : start + RECORD_BLOCK] = self._play_block(losses[start : start + RECORD_BLOCK])
@@ -379,7 +375,7 @@ class HedgeLearner:
             return [self.update(lvec) for lvec in losses]
         totals = np.cumsum(np.concatenate((self.L[None], losses)), axis=0)  # L before each round, then after
         p = self._weights(totals[:-1], eta.reshape(-1, *(1,) * self.L.ndim))
-        player = dot(p, losses) if self.n <= _DOT_CHUNK else [dot(pk, lk) for pk, lk in zip(p, losses)]
+        player = dot(p, losses)
         self.L[...] = totals[-1]
         self.t += losses.shape[0]
         return player

@@ -140,8 +140,8 @@ def _phi_above(R: np.ndarray, C: np.ndarray) -> np.ndarray:
 def _weight(R: np.ndarray, C: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """weight_arr without conversions, by in-place buffer arithmetic on R + 1
     and R - 1 stacked; the interval learner calls it on its live copies
-    (R > -1) every round.  work, when given, is a contiguous (3, *R.shape)
-    buffer to compute in, whose row 1 receives the weights."""
+    (R > -1) every round.  work, when given, is a (3, *R.shape) buffer to
+    compute in, whose row 1 receives the weights."""
     # one broadcast add, with the bits of np.add.outer([1.0, -1.0], R); R + (-1) is R - 1 bit for bit
     ab = np.add(_SHIFTS[R.ndim], R, out=None if work is None else work[1:])
     denom = np.add(C, 1.0, out=None if work is None else work[0])
@@ -220,15 +220,19 @@ def dot(a: np.ndarray, b: np.ndarray):
     it is one call to numpy's dot.  Every dot that can be as long as an
     ExpertBank goes through it; it allocates nothing of that length.
 
-    Given a stack of rows (..., n) for a or b, n <= 10,000, it returns the
-    dots of the rows with the other argument's rows, or with the one vector
-    it is: by matmul's stacked vector products, which have the bits of
-    numpy's dot of each row.  A gemv (rows @ vector) rounds differently."""
+    Given a stack of rows (..., n) for a or b, it returns the dots of the
+    rows with the other argument's rows, or with the one vector it is: by
+    matmul's stacked vector products, which have the bits of numpy's dot of
+    each row, summed over the same chunks as above, so that each equals
+    dot() of its row.  A gemv (rows @ vector) rounds differently."""
     if a.ndim > 1 or b.ndim > 1:
         rows, other = (a, b) if a.ndim > 1 else (b, a)
-        if rows.shape[-1] > _DOT_CHUNK:
-            raise ValueError(f"one dot per row takes rows of at most {_DOT_CHUNK} elements")
-        return np.matmul(rows[..., None, :], other[..., None])[..., 0, 0]
+        if rows.shape[-1] <= _DOT_CHUNK:
+            return np.matmul(rows[..., None, :], other[..., None])[..., 0, 0]
+        total = 0.0
+        for i in range(0, rows.shape[-1], _DOT_CHUNK):
+            total += dot(rows[..., i : i + _DOT_CHUNK], other[..., i : i + _DOT_CHUNK])
+        return total
     if a.size <= _DOT_CHUNK:
         return float(np.dot(a, b))
     total = 0.0
@@ -313,9 +317,8 @@ def certify_stack(q: np.ndarray, R: np.ndarray, C: np.ndarray, sizes) -> np.ndar
     """The potential sums, caps and prior sums q[:n].sum() of a stack of states,
     as the rows of a (3, len(sizes)) array: row k of R and C is a state of the
     first n = sizes[k] bank rows (later entries must be reachable, as zeros are).
-    Each equals certify() in its state bit for bit: a run of equal sizes n up
-    to 10,000 takes its dots in one stacked matmul by dot(), which has the bits
-    of dot() of each row, and longer rows take dot()'s chunks one row at a time."""
+    Each equals certify() in its state bit for bit: a run of equal sizes takes
+    its dots in one stacked dot(), which has the bits of dot() of each row."""
     phi = _evaluate_where(_phi, R, C, 0.0, 1.0, above=_phi_above)  # phi is exactly 1 for R <= 0
     log_c = 1.0 + np.log1p(C)
     sizes = np.asarray(sizes)
@@ -325,8 +328,7 @@ def certify_stack(q: np.ndarray, R: np.ndarray, C: np.ndarray, sizes) -> np.ndar
         n = int(sizes[a])
         q_n = q[:n]
         out[2, a:b] = q_sum = q_n.sum()
-        for k in range(a, b) if n > _DOT_CHUNK else [slice(a, b)]:
-            out[:2, k] = _certificate(q_n, phi[k, :n], log_c[k, :n], q_sum)
+        out[:2, a:b] = _certificate(q_n, phi[a:b, :n], log_c[a:b, :n], q_sum)
     return out
 
 
@@ -346,8 +348,8 @@ class ExpertBank:
     and C are (S, m), a row per seed; predict and update act on every row,
     certify on any rows, of every seed, and each gives each seed the bits of
     a bank of its own.  Its reductions run along the last axis, dot() gives
-    one dot per seed, so m is at most 10,000, a seed whose weights are all
-    zero falls back to the prior by itself, and no entry is gathered.
+    one dot per seed, a seed whose weights are all zero falls back to the
+    prior by itself, and no entry is gathered.
 
     Calls on every row without confidences, as the fixed and interval
     learners make, allocate nothing bank-sized: they compute in a contiguous
@@ -357,9 +359,8 @@ class ExpertBank:
     bank's state is q, R and C alone.
 
     The whole-bank round, update(losses, certify=True) on every row, is the
-    one round of the fixed and interval learners, per round and in their
-    play_trace alike.  It scans once and makes about a dozen passes over the
-    m rows:
+    one round of the fixed and interval learners.  It scans once and makes
+    about a dozen passes over the m rows:
       - a block of losses repeated over the rows (the interval learner's
         copies play their expert's loss);
       - the one scan, _gather_rows: on a bank of at least 2,048 rows with at
@@ -376,6 +377,18 @@ class ExpertBank:
     R <= 0, so gathering changes no bit.  The round allocates no array of the
     bank's length but the potentials, when more than 2/5 of the rows have
     R > 0.
+
+    play() makes the same rounds over a whole trace for the interval
+    learner's play_trace, with update() as its reference, bit for bit: one
+    call, and no layers, per round.  Only for the call it keeps the weights
+    in a row of the bank's width, zero but in the rows written last round,
+    and the potentials in a row of the work block, one but in those rows, so
+    that a gathered round resets those rows instead of filling a whole row
+    (the whole row after a round that was not gathered, whose weights were
+    computed in every row of the work block).  It drops update()'s fallback
+    to the prior when every weight is zero: in the interval learner each
+    round's fresh copies have R = C = 0, weight 0.5 (e^(1/3) - 1) > 0 and a
+    positive prior, so the fallback never runs there.
     """
 
     def __init__(self, params: PotentialParams | None = None, capacity: int = 0, seeds: int | None = None):
@@ -413,8 +426,6 @@ class ExpertBank:
         """Register one fresh row (R = C = 0) per prior weight, in order."""
         priors = np.asarray(priors, dtype=float)
         start, end = self.q.size, self.q.size + priors.size
-        if self.seeds is not None and end > _DOT_CHUNK:  # dot() takes one row of a stack in one call
-            raise ValueError(f"a seed-batched bank holds at most {_DOT_CHUNK} experts, got {end}")
         if end > self._buf.shape[1]:
             self.reserve(max(end, 2 * self._buf.shape[1]))
         self._buf[0, start:end] = priors
@@ -507,6 +518,57 @@ class ExpertBank:
         self.R += r
         self.C += np.abs(r, out=r) if self.params.d == 1.0 else self.params.increment(r)
         return (player_loss, *self._certify(rows, live)) if certify else player_loss
+
+    def play(self, losses: np.ndarray, sizes, certify: bool = False):
+        """The T whole-bank rounds of checked (T, B) losses on a bank of one
+        seed, and their T player losses; with certify=True, (player losses,
+        potential sums, caps).  Round k acts on the first sizes[k] registered
+        rows (nondecreasing multiples of B) with the bits of update(losses[k],
+        certify) on a bank that holds just those rows: the same gather rule and
+        kernels.  Each round must hold a row with R > -1 and a positive prior,
+        since the loop has no fallback to the prior (see the class docstring)."""
+        if certify:
+            self._certifiable()
+        T, width = len(sizes), sizes[-1] if len(sizes) else 0
+        out = np.empty((3 if certify else 1, T))  # player losses, potential sums, caps
+        weights = np.zeros(width)
+        work = self._buf[3:6]  # the work block at a fixed stride: potentials, regrets then 1 + ln(1 + C), scratch
+        if certify:
+            work[0, :width] = 1.0
+        w_dirty = phi_dirty = slice(0, 0)  # the rows last written, whose reset values must be restored
+        for k, m in enumerate(sizes):
+            q, R, C, p, r, phi = self.q[:m], self.R[:m], self.C[:m], weights[:m], work[1, :m], work[0, :m]
+            live = _gather_rows(R, -1.0)  # weight is exactly 0 for R <= -1
+            if live is None:
+                np.multiply(q, _weight(R, C, work[:, :m]), out=p)
+                p /= p.sum()
+                w_dirty = phi_dirty = slice(0, m)  # _weight computed in every row of the work block
+            else:
+                p[w_dirty] = 0.0
+                p[live] = s_live = q[live] * _weight(R[live], C[live])
+                p[live] = s_live / p.sum()
+                w_dirty = live
+            r.reshape(-1, losses.shape[1])[:] = losses[k]
+            out[0, k] = player_loss = dot(p, r)
+            np.subtract(player_loss, r, out=r)
+            R += r
+            C += np.abs(r, out=r) if self.params.d == 1.0 else self.params.increment(r)
+            if not certify:
+                continue
+            # the rows above 0 are at most the live ones, as in _certify
+            above = _gather_rows(R, 0.0) if live is None else live[R[live] > 0.0]
+            if above is None:
+                phi = _phi(R, C)  # a new array: the potential row keeps its rows to reset
+            else:
+                phi[phi_dirty] = 1.0
+                phi[above] = _phi_above(R[above], C[above])
+                phi_dirty = above
+            log_c = np.log1p(C, out=r)
+            log_c += 1.0
+            q_sum = float(q.sum())
+            out[1, k] = dot(q, phi) / q_sum
+            out[2, k] = 1.0 + 1.5 * (dot(q, log_c) / q_sum)
+        return tuple(out) if certify else out[0]
 
     def _certifiable(self) -> None:
         if self.params.d != 1.0:

@@ -124,9 +124,9 @@ class TemplateTree:
             raise ValueError("tree must be connected: unreachable nodes present")
         for node in self.nodes.values():
             if node.id != self.root:
-                pred = node.prediction
-                if pred is None or not (0.0 <= pred <= 1.0):
-                    raise ValueError(f"node {node.id!r} needs a prediction in [0, 1]")
+                pred = node.prediction  # a boolean is refused, as for the split fields
+                if isinstance(pred, bool) or not isinstance(pred, numbers.Real) or not 0.0 <= pred <= 1.0:
+                    raise ValueError(f"node {node.id!r} needs a prediction in [0, 1], got {pred!r}")
 
     @property
     def internal_ids(self) -> list[str]:

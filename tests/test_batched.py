@@ -58,9 +58,18 @@ class TestNumpyFacts:
             for k in range(a.shape[0]):
                 assert same_bytes(sums[k], a[k].sum())
 
-    def test_dot_refuses_rows_past_one_chunk(self):
-        with pytest.raises(ValueError, match="at most 10000 elements"):
-            dot(np.ones((2, 10_001)), np.ones(10_001))
+    @pytest.mark.parametrize("n", [10_000, 10_001, 25_000])
+    def test_stacked_dot_is_the_dot_of_each_row(self, n):
+        """dot() of a stack of rows, as long as one chunk or longer, has the bits of dot() of each row."""
+        rng = rng_for(n, 8)
+        q = rng.random(n)
+        for a in [*self._rows(n, rng, seeds=3), rng.random((2, 3, n))]:
+            b = rng.random(a.shape)
+            pairs, shared = dot(a, b), dot(q, a)
+            assert pairs.shape == shared.shape == a.shape[:-1]
+            for k in np.ndindex(a.shape[:-1]):
+                assert same_bytes(pairs[k], dot(a[k], b[k])) and same_bytes(shared[k], dot(q, a[k]))
+            assert same_bytes(dot(a, q), shared)
 
 
 def play_both(make, traces, certificates):
@@ -159,15 +168,13 @@ class TestBatchedFixed:
         with pytest.raises(ValueError, match="seeds must be a whole number"):
             HedgeLearner(3, seeds=seeds)
 
-    def test_more_experts_than_one_dot_takes_are_refused(self):
-        with pytest.raises(ValueError, match="at most 10000 experts, got 10001"):
-            FixedLearner(np.full(10_001, 1 / 10_001), seeds=2)
-        bank = ExpertBank(seeds=2)
-        bank.add(np.ones(10_000))
-        with pytest.raises(ValueError, match="at most 10000 experts, got 10001"):
-            bank.add([1.0])
-        assert bank.q.size == 10_000
-        assert bank.update(np.full((2, 10_000), 0.5)).shape == (2,)
+    def test_more_experts_than_one_dot_chunk_match_separate_learners(self):
+        # past dot()'s chunk of 10,000, each seed's dots are chunked as a learner of one seed's are
+        traces = [rng_for(k, 10).random((12, 10_001)) for k in range(2)]
+        alone, records, batched, batched_records = play_both(ada(10_001), traces, True)
+        assert_records_equal(records, batched_records)
+        for k, learner in enumerate(alone):
+            assert same_bytes(learner.R, batched.R[k]) and same_bytes(learner.C, batched.C[k])
 
 
 class TestBatchedHedge:
@@ -184,10 +191,14 @@ class TestBatchedHedge:
         with pytest.raises(ValueError, match="seed-batched learner plays a loss matrix"):
             play(HedgeLearner(3, seeds=2), 10, adversary=lambda t, p: np.zeros(3))
 
-    def test_more_experts_than_one_dot_takes_are_refused(self):
-        with pytest.raises(ValueError, match="at most 10000 experts, got 10001"):
-            HedgeLearner(10_001, seeds=2)
-        assert HedgeLearner(10_000, seeds=2).update(np.full((2, 10_000), 0.5)).shape == (2,)
+    def test_more_experts_than_one_dot_chunk_match_separate_learners(self):
+        traces = [rng_for(k, 11).random((70, 10_001)) for k in range(2)]  # a block of 64 rounds and a tail
+        alone, records, batched, batched_records = play_both(
+            lambda seeds: HedgeLearner(10_001, seeds=seeds), traces, False
+        )
+        assert_records_equal(records, batched_records)
+        for k, learner in enumerate(alone):
+            assert same_bytes(learner.L, batched.L[k])
 
 
 class TestBatchedBank:

@@ -1,11 +1,12 @@
 """Whole-trace plays against their per-round loops, on generated traces.
 
-FixedLearner.play_trace against one update() a round, and
-TreeLearner.play_rounds against one play_round() a round.  Each case plays
-both ways and requires the same bytes out, or the same exception with the
-same message, and the same learner state after either.  Traces cross
+FixedLearner.play_trace and HedgeLearner.play_trace against one update() a
+round, and TreeLearner.play_rounds against one play_round() a round.  Each
+case plays both ways and requires the same bytes out, or the same exception
+with the same message, and the same learner state after either.  Traces cross
 multiples of RECORD_BLOCK (64) rounds, and a case may hold one bad loss cell,
-a row that lacks a feature, or a loss closure that fails at a drawn row.
+a learning rate schedule that fails at a drawn round, a row that lacks a
+feature, or a loss closure that fails at a drawn row.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hedgelab.fixed import FixedLearner
-from hedgelab.lab import rng_for
+from hedgelab.lab import HedgeLearner, default_eta_schedule, rng_for
 from hedgelab.potential import RECORD_BLOCK
 from hedgelab.tree import TreeLearner, TreeRounds, absolute_loss, random_template_tree, squared_loss
 
@@ -82,6 +83,60 @@ def test_fixed_play_trace_is_the_round_loop(case):
     else:
         assert whole.t == bad[0]
     assert fixed_state(whole) == fixed_state(loop)
+
+
+# ---------------------------------------------------------------------------
+# HedgeLearner.play_trace, whose blocks take the totals by a cumsum from the carried L
+# ---------------------------------------------------------------------------
+
+
+def failing_schedule(n, round_, value):
+    """The default learning rates of n experts, but `value` at round `round_` (1-based; None for no such round)."""
+    default = default_eta_schedule(n)
+    return lambda t: value if t == round_ else default(t)
+
+
+@st.composite
+def hedge_cases(draw):
+    n, seeds = draw(st.sampled_from([1, 2, 3, 10])), draw(st.sampled_from([None, 2]))
+    played = draw(st.sampled_from([0, 0, 1, 63, 70]))  # rounds played one update() a round before the trace
+    t_len = draw(st.one_of(st.integers(0, 200), st.sampled_from(BLOCK_EDGES)))
+    losses = rng_for(draw(st.integers(0, 2**16)), 6).random((played + t_len, *(() if seeds is None else (seeds,)), n))
+    bad_round = bad_cell = None
+    if t_len and draw(st.booleans()):
+        bad_round = played + 1 + draw(st.integers(0, t_len - 1))  # of the schedule, 1-based
+    if t_len and draw(st.booleans()):
+        bad_cell = (played + draw(st.integers(0, t_len - 1)), *(draw(st.integers(0, s - 1)) for s in losses.shape[1:]))
+        losses[bad_cell] = draw(st.sampled_from(BAD_CELLS))
+    schedule = failing_schedule(n, bad_round, draw(st.sampled_from([0.0, math.nan, math.inf])))
+    fails = bad_cell is not None or (bad_round is not None and n > 1)  # one expert's rate is never asked for
+    return n, seeds, schedule, losses[:played], losses[played:], fails
+
+
+def hedge_rounds(learner, losses):
+    """One update() a round: the player losses, (T,) or (T, S) for S seeds."""
+    return np.array([learner.update(lvec) for lvec in losses], dtype=float).reshape(losses.shape[:-1])
+
+
+def hedge_state(learner):
+    return learner.t, learner.L.tobytes()
+
+
+@SETTINGS
+@given(case=hedge_cases())
+def test_hedge_play_trace_is_the_round_loop(case):
+    n, seeds, schedule, before, losses, fails = case
+    whole, loop = (HedgeLearner(n, schedule, seeds=seeds) for _ in range(2))
+    for learner in (whole, loop):
+        for lvec in before:  # the trace's totals start from the carried L
+            learner.update(lvec)
+    got, got_error = outcome(lambda: whole.play_trace(losses))
+    expected, expected_error = outcome(lambda: hedge_rounds(loop, losses))
+    assert got_error == expected_error
+    assert (got_error is not None) == fails
+    if not fails:
+        assert same_bytes(got, expected)
+    assert hedge_state(whole) == hedge_state(loop)
 
 
 # ---------------------------------------------------------------------------

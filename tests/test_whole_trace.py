@@ -201,7 +201,7 @@ def tv_cases(draw):
     if t_len and draw(st.booleans()):
         bad = draw(st.integers(0, t_len - 1)), draw(st.integers(0, n - 1)), draw(st.sampled_from(BAD_CELLS))
         losses[played + bad[0], bad[1]] = bad[2]
-    return n, losses[:played], losses[played:], draw(st.booleans()), bad
+    return n, losses[:played], losses[played:], draw(st.booleans()), bad, draw(st.booleans())
 
 
 def tv_rounds(learner, losses, certify):
@@ -225,10 +225,12 @@ def outcome(call):
 @settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(case=tv_cases())
 def test_tv_play_trace_is_the_round_loop(case):
-    n, before, losses, certify, bad = case
+    n, before, losses, certify, bad, predicted = case
     whole, loop = TvLearner(n), TvLearner(n)
     for learner in (whole, loop):
         tv_rounds(learner, before, certify)  # a learner that has already played some rounds
+        if predicted:  # and may have spawned the next round's copies
+            learner.predict()
     got, got_error = outcome(lambda: whole.play_trace(losses, certify=certify))
     expected, expected_error = outcome(lambda: tv_rounds(loop, losses, certify))
     assert got_error == expected_error
@@ -252,10 +254,37 @@ def test_tv_play_checks_a_whole_trace_once(monkeypatch, certify):
     assert (record.potential_sums is not None) == certify
 
 
+@pytest.mark.parametrize("certify", [False, True])
+def test_tv_update_takes_a_whole_trace(monkeypatch, certify):
+    # play_trace goes through update(), so that a timer wrapped around update() sees whole traces
+    losses = gen_shifting(4, 60, 3, 0.25, 0.3, 0).losses
+    whole, by_update, loop = TvLearner(4), TvLearner(4), TvLearner(4)
+    seen = []
+    real = TvLearner.update
+    monkeypatch.setattr(TvLearner, "update", lambda self, *args, **kw: seen.append(np.shape(args[0])) or real(self, *args, **kw))
+    got = whole.play_trace(losses, certify=certify)
+    assert seen == [(60, 4)]
+    assert same_bytes(np.array(by_update.update(losses.tolist(), certify)), np.array(got))
+    monkeypatch.undo()
+    assert same_bytes(np.array(got).reshape(-1, 60), tv_rounds(loop, losses, certify))
+    assert tv_state(whole) == tv_state(by_update) == tv_state(loop)
+    with pytest.raises(ValueError, match=r"losses must have shape \(4,\)"):
+        whole.update(np.full((5, 3), 0.5))
+    assert whole.t == 60
+
+
 def test_tv_play_trace_across_the_gather_share():
-    # past 2,048 copies the live share of this trace falls through 2/5: rounds on both sides of the gather rule
-    losses = gen_shifting(10, 300, 3, 0.25, 0.3, 0).losses
-    loop, shares = TvLearner(10), []
+    # past 2,048 copies the live share of these traces falls through 2/5: rounds on both sides of the gather rule;
+    # past 10,000 copies (round 1,001) the certificate's dots take chunks
+    for t_len, predicted in [(300, False), (1050, True)]:
+        assert_tv_play_across_the_gather_share(t_len, predicted)
+
+
+def assert_tv_play_across_the_gather_share(t_len, predicted):
+    losses = gen_shifting(10, t_len, 3, 0.25, 0.3, 0).losses
+    whole, loop, shares = TvLearner(10), TvLearner(10), []
+    if predicted:  # the first round's copies are spawned before play_trace
+        assert same_bytes(whole.predict(), loop.predict())
     expected = []
     for lvec in losses:
         expected.append(loop.update(lvec, certify=True))
@@ -263,6 +292,6 @@ def test_tv_play_trace_across_the_gather_share():
         if R.size >= potential._GATHER_MIN_SIZE:
             shares.append(5 * np.count_nonzero(R > -1.0) <= 2 * R.size)
     assert {True, False} <= set(shares)
-    whole = TvLearner(10)
+    assert (loop._bank.q.size > potential._DOT_CHUNK) == (t_len > 1000)
     assert same_bytes(np.array(whole.play_trace(losses, certify=True)), np.array(expected).T)
     assert tv_state(whole) == tv_state(loop)
