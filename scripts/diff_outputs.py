@@ -13,8 +13,11 @@ one adversarial run of ada, dt and hedge over five seeds listed out of order
 and hedge with one expert over 130 rounds (two blocks of 64 rounds and a
 tail), one of tv with one expert over 3,000 rounds (past the 2,048 copies
 from which the interval learner's rounds apply the gather rule, on a tile of
-one loss), one shifting run whose --config file overrides its flags with the
-singular "algo" and "seed" keys and an integral-float "n", and one tree run
+one loss), one stochastic run of ada and dt with 2,048 experts and two seeds
+("stochastic-n2048": the CLI plays each seed alone from 2,048 experts, and
+most of the one-seed bank's predictions gather its live rows), one shifting
+run whose --config file overrides its flags with the singular "algo" and
+"seed" keys and an integral-float "n", and one tree run
 over the "tree0" fixture's data with edge rows: a feature exactly on a
 split's threshold (which goes to the second child) in some rows and an inf
 or -inf feature in others.  The "tree0-format" config runs over the "tree0" fixture's data
@@ -140,6 +143,10 @@ def matrix(work: Path) -> dict[str, list[str]]:
     ]
     configs["tv-n1"] = [  # one expert; 3,000 copies, past the 2,048 from which the gather rule applies
         "--scenario", "adversarial", "--algo", "tv", "--n", "1", "--t", "3000", "--seeds", "1",
+    ]
+    configs["stochastic-n2048"] = [  # one group per seed, and a one-seed bank that gathers its live rows
+        "--scenario", "stochastic", "--algo", "ada,dt", "--n", "2048", "--t", "300", "--alpha", "0.5", "--mu", "0.2",
+        "--seed", "0,1",
     ]
     configs["config-file"] = [
         "--scenario", "adversarial", "--algo", "hedge", "--n", "3", "--t", "50", "--seeds", "2",

@@ -10,24 +10,24 @@ bounds shifting regret against the best segmented competitor.
 The copies are rows of the expert bank that SleepingRegistry also uses, in
 birth order (row (tau-1)*N + i holds the copy of expert i born at tau), and
 every copy's (R, C) is updated every round: O(N*t) time per round and O(N*T)
-memory, so harness runs cap T around 20k.  A certified round,
-update(losses, certify=True), makes the passes over the N*t copies that the
-ExpertBank docstring lists.  While at most 2/5 of the copies are live
-(R > -1), only those cost an exp, because every other copy's weight is
-exactly zero: 94% of the copies are dead at the end of a 1500-round shifting
-run with N=10, 57% after 1500 i.i.d. uniform rounds.  play_trace plays a
-whole loss matrix with the bits of update() a round, its reference: it
-checks the matrix once, registers every copy the trace needs by one add(),
-and plays the rounds in one loop, ExpertBank.play.  For the call only, that
-loop keeps the weights and potentials in rows that a gathered round resets
-only where it wrote them last, and the round's records in arrays.  It has
-no fallback to the prior for a round whose weights all vanish, since none
-can here: a round's fresh copies have R = C = 0 and weight
-0.5 (e^(1/3) - 1) > 0.  update() given a (T, N) array plays it as
-play_trace does, and play_trace goes through update(), so that a timer
-around update() also times whole traces.  Because the learner shares the
-bank, driving a registry with birth-scheduled ids reproduces its outputs bit
-for bit.
+memory, so harness runs cap T around 20k.  Every round is a round of
+ExpertBank.play, which makes the passes over the N*t copies that the
+ExpertBank docstring lists: update() spawns the round's copies and plays one,
+and play_trace checks a whole loss matrix once, registers every copy the
+trace needs by one add() and plays all its rounds in one call.  While at
+most 2/5 of the copies are live (R > -1), only those cost an exp, because
+every other copy's weight is exactly zero: 94% of the copies are dead at the
+end of a 1500-round shifting run with N=10, 57% after 1500 i.i.d. uniform
+rounds.  The loop has no fallback to the prior for a round whose weights all
+vanish, since none can here: a round's fresh copies have R = C = 0 and
+weight 0.5 (e^(1/3) - 1) > 0.  Its reference is the sleeping registry's
+round on the same rows, the bank's update(np.tile(l, t), np.arange(N*t),
+certify=True), which tests/test_whole_trace.py::test_tv_is_the_bank_rows_path
+requires both paths to equal bit for bit.  update() given a (T, N) array
+plays it as play_trace does, and play_trace goes through update(), so that
+a timer around update() also times whole traces.  Because the learner
+shares the bank, driving a registry with birth-scheduled ids reproduces its
+outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ class TvLearner(BankCertificates):
         return self._bank.predict().reshape(-1, self.n).sum(axis=0)
 
     def update(self, losses, certify: bool = False):
-        """Consume one round of base-expert losses, return the player loss.
+        """Consume one round of base-expert losses, return the player loss:
+        one round of ExpertBank.play on the copies, this round's spawned.
         With certify=True return (player loss, *certify()) of the new state,
         the bits of update() then certify() from one pass over the copies.
         A (T, N) array of losses is a whole trace, which update() plays and
@@ -99,9 +100,9 @@ class TvLearner(BankCertificates):
     def _round(self, losses, certify: bool):
         losses = check_losses(losses, self.n)
         self._spawn()
-        out = self._bank.update(losses, certify=certify)  # every copy plays its expert's loss
+        records = self._bank.play(losses[None], [self._bank.q.size], certify)  # every copy plays its expert's loss
         self.t += 1
-        return out
+        return tuple(float(a[0]) for a in records) if certify else float(records[0])
 
     def play_trace(self, losses: np.ndarray, certify: bool = False):
         """update() on each round of (T, N) losses, and return the T player

@@ -369,7 +369,7 @@ class HedgeLearner:
 
     def _play_block(self, losses: np.ndarray):
         try:
-            check_losses(losses, (losses.shape[0], *self.L.shape))
+            losses = check_losses(losses, (losses.shape[0], *self.L.shape))
             eta = np.array([self._eta(self.t + 1 + j) for j in range(losses.shape[0])])
         except ValueError:  # round by round, update() raises at the round and with the message of play()'s loop
             return [self.update(lvec) for lvec in losses]
@@ -418,17 +418,16 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
     first dimension (the produced losses are recorded and returned).  With
     certificates=True the potential sum after each round and its cap are
     recorded for a learner with certify(), such as the fixed and interval
-    learners, or else with potential_sum() and certificate() (learners with
-    neither yield None entries).
+    learners (learners without it yield None entries).
 
     A learner with play_trace(), the fixed, interval and hedge learners, is
     handed a loss matrix whole and plays it with the bits of the round loop:
     the fixed learner certifies its recorded states in blocks of rounds, the
     interval learner checks the matrix once and sizes its bank up front, and
-    hedge plays a block of rounds per set of numpy calls.  Every other play,
-    an adversary's or the sleeping registry's, is a round loop: one
-    update(losses, certify=True) a round on a learner with certify(), else
-    update() then potential_sum() and certificate().
+    hedge plays a block of rounds per set of numpy calls.  An adversary's
+    play is a round loop: one update(losses, certify=True) a round on a
+    learner with certify(), else update().  The sleeping registry does not
+    play here: its update() takes a mapping of awake ids, not a loss vector.
 
     A seed-batched learner (seeds=S) plays (T, S, N) losses, with no
     adversary, and gives back a list of S records, one per seed.
@@ -444,7 +443,7 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
         else:
             player, pots, certs = learner.play_trace(realized), None, None
     else:
-        player, pots, certs, realized = _play_rounds(learner, losses, adversary, certificates)
+        player, pots, certs, realized = _play_rounds(learner, losses, adversary, certify)
     if seeds is None:
         return RunRecord(player, realized, pots, certs)
     player, pots, certs = (None if a is None else a.T.copy() for a in (player, pots, certs))  # a row per seed
@@ -452,8 +451,8 @@ def play(learner, losses, adversary: Callable | None = None, certificates: bool 
             for k in range(seeds)]
 
 
-def _play_rounds(learner, losses, adversary: Callable | None, certificates: bool):
-    """play() round by round: the player losses, potential sums and caps (None unless recorded), and the losses."""
+def _play_rounds(learner, losses, adversary: Callable | None, certify: bool):
+    """play() round by round: the player losses, potential sums and caps (None unless certify), and the losses."""
     if adversary is None:
         losses = np.asarray(losses, dtype=float)
         t_len = losses.shape[0]
@@ -461,15 +460,9 @@ def _play_rounds(learner, losses, adversary: Callable | None, certificates: bool
     else:
         t_len = int(losses)
         realized = None
-    step = None
-    if certificates and hasattr(learner, "certify"):
-        step = lambda lvec: learner.update(lvec, certify=True)  # noqa: E731
-    elif certificates and hasattr(learner, "potential_sum") and hasattr(learner, "certificate"):
-        step = lambda lvec: (learner.update(lvec), learner.potential_sum(), learner.certificate())  # noqa: E731
-    record = step is not None
     player = np.empty(t_len)
-    pots = np.empty(t_len) if record else None
-    certs = np.empty(t_len) if record else None
+    pots = np.empty(t_len) if certify else None
+    certs = np.empty(t_len) if certify else None
     rows = []
     for t in range(t_len):
         if adversary is None:
@@ -478,8 +471,8 @@ def _play_rounds(learner, losses, adversary: Callable | None, certificates: bool
             p = learner.predict()
             lvec = np.asarray(adversary(t, p), dtype=float)
             rows.append(lvec)
-        if record:
-            player[t], pots[t], certs[t] = step(lvec)
+        if certify:
+            player[t], pots[t], certs[t] = learner.update(lvec, certify=True)
         else:
             player[t] = learner.update(lvec)
     if adversary is not None:

@@ -167,9 +167,11 @@ _SHIFTS = _Shifts()
 
 
 def check_losses(losses, n: int | tuple | None = None) -> np.ndarray:
-    """Losses as a float array, rejecting entries outside [0, 1] (NaN included)
-    and, when n is given, any shape other than (n,), or than n for a tuple."""
-    losses = np.asarray(losses, dtype=float)
+    """Losses as a float array in C order, rejecting entries outside [0, 1]
+    (NaN included) and, when n is given, any shape other than (n,), or than n
+    for a tuple.  C order gives every row unit stride, on which the dots of
+    the learners round the same whatever layout the caller's array has."""
+    losses = np.asarray(losses, dtype=float, order="C")
     if n is not None and losses.shape != (shape := n if isinstance(n, tuple) else (n,)):
         raise ValueError(f"losses must have shape {shape}")
     # the min and max over every entry are NaN when an entry is, and NaN compares false
@@ -224,7 +226,9 @@ def dot(a: np.ndarray, b: np.ndarray):
     rows with the other argument's rows, or with the one vector it is: by
     matmul's stacked vector products, which have the bits of numpy's dot of
     each row, summed over the same chunks as above, so that each equals
-    dot() of its row.  A gemv (rows @ vector) rounds differently."""
+    dot() of its row.  That holds only for rows of unit stride: a strided
+    row, such as a row of a Fortran-ordered array, may round differently,
+    and so does a gemv (rows @ vector)."""
     if a.ndim > 1 or b.ndim > 1:
         rows, other = (a, b) if a.ndim > 1 else (b, a)
         if rows.shape[-1] <= _DOT_CHUNK:
@@ -281,19 +285,18 @@ def _gather_rows(R: np.ndarray, edge: float) -> np.ndarray | None:
     return idx if 5 * idx.size <= 2 * R.size else None
 
 
-def _evaluate_where(fn, R, C, edge: float, constant: float, out: np.ndarray | None = None, above=None) -> np.ndarray:
+def _evaluate_where(fn, R, C, edge: float, constant: float, above=None) -> np.ndarray:
     """fn(R, C) for a function that is exactly `constant` wherever R <= edge.
 
     Where _gather_rows picks entries, `above` (fn by default; a form of fn
     valid only above the edge) runs on those only and the constant fills the
-    rest (of out, when given); either way the result is the same bit for bit,
-    so sums over it keep their order and value.
+    rest; either way the result is the same bit for bit, so sums over it keep
+    their order and value.
     """
     idx = _gather_rows(R, edge)
     if idx is None:
         return fn(R, C)
-    out = np.empty(R.size) if out is None else out
-    out.fill(constant)
+    out = np.full(R.size, constant)
     out[idx] = (fn if above is None else above)(R.ravel()[idx], C.ravel()[idx])
     return out.reshape(R.shape)
 
@@ -316,11 +319,14 @@ RECORD_BLOCK = 64
 def certify_stack(q: np.ndarray, R: np.ndarray, C: np.ndarray, sizes) -> np.ndarray:
     """The potential sums, caps and prior sums q[:n].sum() of a stack of states,
     as the rows of a (3, len(sizes)) array: row k of R and C is a state of the
-    first n = sizes[k] bank rows (later entries must be reachable, as zeros are).
-    Each equals certify() in its state bit for bit: a run of equal sizes takes
-    its dots in one stacked dot(), which has the bits of dot() of each row."""
+    first n = sizes[k] >= 0 bank rows (later entries must be reachable, as
+    zeros are).  ExpertBank.certify() is the one-state case.  A run of equal
+    sizes takes its dots in one stacked dot(), which has the bits of dot() of
+    each row: the rows of phi and log_c are C-ordered, of unit stride, also
+    when R and C are not (a seed-batched bank's C[..., rows] is
+    Fortran-ordered)."""
     phi = _evaluate_where(_phi, R, C, 0.0, 1.0, above=_phi_above)  # phi is exactly 1 for R <= 0
-    log_c = 1.0 + np.log1p(C)
+    log_c = 1.0 + np.log1p(C, order="C")
     sizes = np.asarray(sizes)
     out = np.empty((3, sizes.size))
     cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), sizes.size]
@@ -328,7 +334,7 @@ def certify_stack(q: np.ndarray, R: np.ndarray, C: np.ndarray, sizes) -> np.ndar
         n = int(sizes[a])
         q_n = q[:n]
         out[2, a:b] = q_sum = q_n.sum()
-        out[:2, a:b] = _certificate(q_n, phi[a:b, :n], log_c[a:b, :n], q_sum)
+        out[0, a:b], out[1, a:b] = _certificate(q_n, phi[a:b, :n], log_c[a:b, :n], q_sum)
     return out
 
 
@@ -351,44 +357,46 @@ class ExpertBank:
     one dot per seed, a seed whose weights are all zero falls back to the
     prior by itself, and no entry is gathered.
 
-    Calls on every row without confidences, as the fixed and interval
-    learners make, allocate nothing bank-sized: they compute in a contiguous
-    (3, m) work block of the same buffer, (3, S, m) for S seeds (weights,
-    losses and regrets, potentials, 1 + ln(1 + C)), as certify does on any
-    rows.  No call reads the block before writing it, so between calls the
-    bank's state is q, R and C alone.
+    predict() and update() on every row without confidences, as the fixed
+    learner calls them, compute the weights and the regrets in a contiguous
+    (3, m) work block of the same buffer, (3, S, m) for S seeds, and
+    allocate nothing bank-sized.  No call reads the block before writing it,
+    so between calls the bank's state is q, R and C alone.  On a bank of one
+    seed with at least 2,048 rows, of which at most 2/5 are live (R > -1),
+    the prediction gathers the live rows (_gather_rows) and evaluates the
+    weights, an exp each, only there.  weight is exactly 0 where R <= -1 and
+    every other pass runs over every row in order, so gathering changes no
+    bit.
 
-    The whole-bank round, update(losses, certify=True) on every row, is the
-    one round of the fixed and interval learners.  It scans once and makes
-    about a dozen passes over the m rows:
-      - a block of losses repeated over the rows (the interval learner's
-        copies play their expert's loss);
-      - the one scan, _gather_rows: on a bank of at least 2,048 rows with at
-        most 2/5 of them live, the prediction gathers the rows with R > -1
-        and evaluates the weights (an exp each) only there;
+    certify() is certify_stack of the bank's one state (S states for S
+    seeds), the one certificate routine; it allocates the potentials and
+    1 + ln(1 + C) of the rows it certifies.
+
+    play() plays the interval learner's rounds, one from its update() and a
+    whole trace from its play_trace(): rounds on every row, in which each
+    copy plays its expert's loss (a block of losses repeated over the rows).
+    A round scans once and makes about a dozen passes over the m rows:
+      - the one scan, _gather_rows, and the gathered weights as above;
       - the sum of the unnormalized weights, and the player loss by dot();
       - the (R, C) update;
-      - the potentials, only on the gathered rows with R > 0, since no round
-        moves R by more than 1, else on every row;
-      - 1 + ln(1 + C), the prior sum, and dot() for the potential sum and
-        for its cap.
-    Every pass but the gathered evaluations runs over every row in order, and
-    weight is exactly 0 where R <= -1 and the potential exactly 1 where
-    R <= 0, so gathering changes no bit.  The round allocates no array of the
-    bank's length but the potentials, when more than 2/5 of the rows have
-    R > 0.
-
-    play() makes the same rounds over a whole trace for the interval
-    learner's play_trace, with update() as its reference, bit for bit: one
-    call, and no layers, per round.  Only for the call it keeps the weights
-    in a row of the bank's width, zero but in the rows written last round,
-    and the potentials in a row of the work block, one but in those rows, so
-    that a gathered round resets those rows instead of filling a whole row
-    (the whole row after a round that was not gathered, whose weights were
-    computed in every row of the work block).  It drops update()'s fallback
-    to the prior when every weight is zero: in the interval learner each
-    round's fresh copies have R = C = 0, weight 0.5 (e^(1/3) - 1) > 0 and a
-    positive prior, so the fallback never runs there.
+      - the potentials, only on the gathered rows with R > 0: no round moves
+        R by more than 1, so no other row crosses 0 but by rounding, to
+        within ulps of 0, where the potential is exactly 1 anyway
+        (C >= |R| >= 1 there); else on every row;
+      - 1 + ln(1 + C), the prior sum, and _certificate's dots for the
+        potential sum and its cap.
+    For the call it keeps the weights in a row of the bank's width, zero but
+    in the rows written last round, and the potentials in a row of the work
+    block, one but in those rows, so that a gathered round resets those rows
+    instead of filling a whole row (the whole row after a round that was not
+    gathered, whose weights were computed in every row of the work block).
+    It drops the fallback to the prior when every weight is zero: in the
+    interval learner each round's fresh copies have R = C = 0, weight
+    0.5 (e^(1/3) - 1) > 0 and a positive prior, so the fallback never runs
+    there.  Its reference is the sleeping registry's round on the same
+    rows: update(np.tile(l, m // B), np.arange(m), certify=True) on a bank
+    that add()s each round's copies, bit for bit
+    (tests/test_whole_trace.py::test_tv_is_the_bank_rows_path).
     """
 
     def __init__(self, params: PotentialParams | None = None, capacity: int = 0, seeds: int | None = None):
@@ -440,9 +448,8 @@ class ExpertBank:
             raise ValueError("a seed-batched bank acts on every row, without confidences")
         return whole
 
-    def _distribution(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """predict() on every row, in row 1 of the work block, and the rows it
-        gathered (None for every row)."""
+    def _distribution(self) -> np.ndarray:
+        """predict() on every row, in row 1 of the work block."""
         q, R, C = self.q, self.R, self.C
         live = None if self.seeds is not None else _gather_rows(R, -1.0)  # weight is exactly 0 for R <= -1
         if live is None:
@@ -459,21 +466,21 @@ class ExpertBank:
             if zero.any():  # those seeds predict the prior, whose division by 1 changes no bit
                 p[zero], total[zero] = q / q.sum(), 1.0
             p /= total[:, None]
-            return p, None
+            return p
         total = p.sum()
         if total <= 0.0:
-            return np.divide(q, q.sum(), out=self._block[1]), live
+            return np.divide(q, q.sum(), out=self._block[1])
         if live is None:
             p /= total
         else:
             p[live] = s_live / total
-        return p, live
+        return p
 
     def predict(self, rows=_EVERY, conf=None) -> np.ndarray:
         """p proportional to q * conf * weight(R, C) over the rows; when every
         such weight is zero, proportional to q * conf."""
         if self._whole(rows, conf):
-            return self._distribution()[0].copy()
+            return self._distribution().copy()
         q = self.q[rows] if conf is None else self.q[rows] * conf
         # weight is exactly 0 for R <= -1
         s = q * _evaluate_where(_weight, self.R[rows], self.C[rows], -1.0, 0.0)
@@ -484,18 +491,14 @@ class ExpertBank:
 
     def update(self, losses: np.ndarray, rows=_EVERY, conf=None, p=None, certify: bool = False):
         """Charge the rows their (confidence-scaled) regret to the player loss
-        p . losses, and return that player loss; losses must be checked.  When
-        the rows are every row, losses may also be a block repeated over them
-        (the interval learner's copies play their expert's loss).
-        p, when given, is predict(rows, conf) already computed on this state.
+        p . losses, and return that player loss; losses must be checked, one
+        per row.  p, when given, is predict(rows, conf) already computed on
+        this state.
 
         With certify=True (d = 1 only, checked before any state changes) it
-        returns (player loss, *certify(rows)) of the updated state, bit for bit.
-        A whole-bank round whose prediction gathered the rows with R > -1 finds
-        the rows with R > 0 among them, with no scan of its own: |r| <= 1, so
-        no other row crosses 0 but by rounding, to within ulps of 0, where the
-        potential is exactly 1 anyway (C >= |R| >= 1 there).  A seed-batched
-        bank takes (S, m) losses and returns one value of each per seed."""
+        returns (player loss, *certify(rows)) of the updated state.  A
+        seed-batched bank takes (S, m) losses and returns one value of each
+        per seed."""
         if certify:
             self._certifiable()
         if not self._whole(rows, conf):
@@ -505,28 +508,26 @@ class ExpertBank:
             r = player_loss - losses if conf is None else conf * (player_loss - losses)
             self.R[rows] += r
             self.C[rows] += self.params.increment(r)
-            return (player_loss, *self._certify(rows)) if certify else player_loss
-        live = None
-        if p is None:
-            p, live = self._distribution()
-        r = self._block[0]  # clear of the weights
-        if losses.size != r.size:  # np.tile(losses, r.size // losses.size) by one broadcast copy
-            r.reshape(-1, losses.size)[:] = losses
-            losses = r
-        player_loss = dot(p, losses)
-        np.subtract(player_loss if self.seeds is None else player_loss[:, None], losses, out=r)
-        self.R += r
-        self.C += np.abs(r, out=r) if self.params.d == 1.0 else self.params.increment(r)
-        return (player_loss, *self._certify(rows, live)) if certify else player_loss
+        else:
+            if p is None:
+                p = self._distribution()
+            r = self._block[0]  # clear of the weights
+            player_loss = dot(p, losses)
+            np.subtract(player_loss if self.seeds is None else player_loss[:, None], losses, out=r)
+            self.R += r
+            self.C += np.abs(r, out=r) if self.params.d == 1.0 else self.params.increment(r)
+        return (player_loss, *self._certify(rows)) if certify else player_loss
 
     def play(self, losses: np.ndarray, sizes, certify: bool = False):
-        """The T whole-bank rounds of checked (T, B) losses on a bank of one
+        """The T rounds of checked (T, B) losses on every row of a bank of one
         seed, and their T player losses; with certify=True, (player losses,
-        potential sums, caps).  Round k acts on the first sizes[k] registered
-        rows (nondecreasing multiples of B) with the bits of update(losses[k],
-        certify) on a bank that holds just those rows: the same gather rule and
-        kernels.  Each round must hold a row with R > -1 and a positive prior,
-        since the loop has no fallback to the prior (see the class docstring)."""
+        potential sums, caps).  Round k acts on the first m = sizes[k]
+        registered rows (nondecreasing multiples of B), each playing its
+        block's loss, with the bits of update(np.tile(losses[k], m // B),
+        np.arange(m), certify=True) on a bank of m rows: the same gather rule,
+        kernels and certificate.  Each round must hold a row with R > -1 and a
+        positive prior, since the loop has no fallback to the prior (see the
+        class docstring)."""
         if certify:
             self._certifiable()
         T, width = len(sizes), sizes[-1] if len(sizes) else 0
@@ -555,7 +556,7 @@ class ExpertBank:
             C += np.abs(r, out=r) if self.params.d == 1.0 else self.params.increment(r)
             if not certify:
                 continue
-            # the rows above 0 are at most the live ones, as in _certify
+            # |r| <= 1, so the rows above 0 are among the live ones (see the class docstring)
             above = _gather_rows(R, 0.0) if live is None else live[R[live] > 0.0]
             if above is None:
                 phi = _phi(R, C)  # a new array: the potential row keeps its rows to reset
@@ -565,9 +566,7 @@ class ExpertBank:
                 phi_dirty = above
             log_c = np.log1p(C, out=r)
             log_c += 1.0
-            q_sum = float(q.sum())
-            out[1, k] = dot(q, phi) / q_sum
-            out[2, k] = 1.0 + 1.5 * (dot(q, log_c) / q_sum)
+            out[1, k], out[2, k] = _certificate(q, phi, log_c, float(q.sum()))
         return tuple(out) if certify else out[0]
 
     def _certifiable(self) -> None:
@@ -579,21 +578,12 @@ class ExpertBank:
         self._certifiable()
         return self._certify(rows)
 
-    def _certify(self, rows, live: np.ndarray | None = None) -> tuple[float, float]:
-        """certify(rows); live, when given, are the rows a whole-bank prediction gathered,
-        which hold every row with R > 0 and are at most 2/5 of the rows."""
+    def _certify(self, rows) -> tuple[float, float]:
+        """certify(rows): certify_stack of the bank's one state of the rows, one state per seed."""
         q, R, C = (self.q, self.R, self.C) if rows is _EVERY else (self.q[rows], self.R[..., rows], self.C[..., rows])
-        n = R.size
-        if live is None:
-            phi = _evaluate_where(_phi, R, C, 0.0, 1.0, self._work[:n], _phi_above)  # 1 for R <= 0
-        else:  # the rows above 0 are at most the live ones: gathered without a scan or a share test
-            above = live[R[live] > 0.0]
-            phi = self._work[:n]
-            phi.fill(1.0)
-            phi[above] = _phi_above(R[above], C[above])
-        log_c = np.log1p(C, out=self._work[n : 2 * n].reshape(C.shape))
-        log_c += 1.0
-        return _certificate(q, phi, log_c, float(q.sum()))
+        shape = self._S, q.size
+        pots, caps, _ = certify_stack(q, R.reshape(shape), C.reshape(shape), np.full(self._S, q.size))
+        return (float(pots[0]), float(caps[0])) if self.seeds is None else (pots, caps)
 
     def potential_sum(self, rows=_EVERY) -> float:
         """Potential sum over the rows, with the prior normalized over them."""

@@ -62,18 +62,18 @@ class TestCertify:
             replay.update(losses)
             assert (rec.potential_sums[t], rec.certificates[t]) == (replay.potential_sum(), replay.certificate())
 
-    def test_play_without_certify_uses_the_one_value_calls(self):
-        class TwoCalls:  # potential_sum() and certificate(), but no certify()
+    def test_play_records_certificates_through_certify_only(self):
+        class TwoCalls:  # potential_sum() and certificate(), but no certify(), as no learner of the package
             def __init__(self):
                 inner = FixedLearner(np.full(4, 0.25))
                 self.update, self.potential_sum, self.certificate = inner.update, inner.potential_sum, inner.certificate
 
         trace = gen_adversarial(4, 80, 9)
         rec = play(TwoCalls(), trace.losses, certificates=True)
-        ref = play(FixedLearner(np.full(4, 0.25)), trace.losses, certificates=True)
-        assert rec.potential_sums.tolist() == ref.potential_sums.tolist()
-        assert rec.certificates.tolist() == ref.certificates.tolist()
-        hedge = play(HedgeLearner(4), trace.losses, certificates=True)  # neither: no columns
+        ref = play(FixedLearner(np.full(4, 0.25)), trace.losses)
+        assert rec.player_losses.tolist() == ref.player_losses.tolist()
+        assert rec.potential_sums is None and rec.certificates is None
+        hedge = play(HedgeLearner(4), trace.losses, certificates=True)  # no certify(): no columns
         assert hedge.potential_sums is None and hedge.certificates is None
 
 

@@ -1,5 +1,7 @@
 """`hedgelab run` over input files with one change: a tree data file with one
-cell, or one row's cell count, changed; a template tree file with a field of
+cell, or one row's cell count, changed, or written in another dialect
+(delimiter, quoting, line ending), encoding (byte-order marks, latin-1 bytes,
+UTF-16), column order or with extra columns; a template tree file with a field of
 another type or value, a key missing, a cycle, a repeated id or another
 depth; a --config file with a key of another type or value (NaN, inf,
 booleans) or an unknown key.  A malformed input exits 2 with one stderr line
@@ -109,6 +111,59 @@ def test_one_changed_cell_or_row(valid_files, edit):
         code, err = run_tree(tree_path, data_path, out)
         names = rf"{re.escape(str(data_path))}.*\bline {row + 2}\b"
         assert_outcome(kind in ("good cell", "none"), code, err, out, names)
+
+
+# ---------------------------------------------------------------------------
+# The data file's dialect, byte-order mark, columns and encoding
+# ---------------------------------------------------------------------------
+
+EXTRA_COLUMNS = {"id": "7", "fold": "1", "f3": "0.5", "f5": "0.5", "note": "\u00e9"}  # name -> every row's cell
+ENCODINGS = {  # name -> the file's bytes from its text
+    "utf-8": lambda text: text.encode("utf-8"),
+    "utf-8 with a byte-order mark": lambda text: text.encode("utf-8-sig"),
+    "utf-8 with two byte-order marks": lambda text: ("\ufeff" + text).encode("utf-8-sig"),
+    "latin-1": lambda text: text.encode("latin-1"),
+    "utf-16": lambda text: text.encode("utf-16"),
+}
+
+
+@st.composite
+def data_dialects(draw):
+    """(delimiter, whether every cell is quoted, line ending, encoding, the columns in order)."""
+    extra = draw(st.lists(st.sampled_from(sorted(EXTRA_COLUMNS)), unique=True, max_size=3))
+    columns = draw(st.permutations([*(f"f{k}" for k in range(FEATURES)), "z", *extra]))
+    return (draw(st.sampled_from([",", ",", ";", "\t", "|", " "])), draw(st.booleans()),
+            draw(st.sampled_from(["\n", "\r\n", "\r"])), draw(st.sampled_from(sorted(ENCODINGS))), columns)
+
+
+def dialect_is_valid(delimiter: str, encoding: str, columns: list[str]) -> bool:
+    """Whether a data file reads: comma-separated UTF-8 text (a first byte-order mark
+    is skipped, a second is part of the first column's name), a z column, and
+    feature columns f0..fk, k at least the last feature the tree splits on."""
+    if delimiter != "," or encoding == "utf-16" or encoding == "latin-1" and "note" in columns:
+        return False
+    if encoding == "utf-8 with two byte-order marks":
+        columns = ["\ufeff" + columns[0], *columns[1:]]
+    features = sorted((c for c in columns if re.fullmatch(r"f[0-9]+", c)), key=lambda c: int(c[1:]))
+    need = max(n["feature"] for n in TREE_DOC["nodes"] if n["children"])
+    return "z" in columns and features == [f"f{k}" for k in range(len(features))] and len(features) > need
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(dialect=data_dialects())
+def test_data_file_dialect_columns_and_encoding(valid_files, dialect):
+    tree_path, lines = valid_files
+    delimiter, quoted, ending, encoding, columns = dialect
+    header = lines[0].split(",")
+    table = [{**EXTRA_COLUMNS, **dict(zip(header, line.split(",")))} for line in lines[1:]]
+    cell = (lambda v: f'"{v}"') if quoted else str
+    text = ending.join(delimiter.join(map(cell, row)) for row in [columns, *([r[c] for c in columns] for r in table)])
+    with tempfile.TemporaryDirectory() as tmp:
+        data_path, out = Path(tmp) / "data.csv", Path(tmp) / "out"
+        data_path.write_bytes(ENCODINGS[encoding](text + ending))
+        code, err = run_tree(tree_path, data_path, out)
+        assert_outcome(dialect_is_valid(delimiter, encoding, columns), code, err, out, re.escape(str(data_path)))
 
 
 # ---------------------------------------------------------------------------

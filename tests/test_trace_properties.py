@@ -6,7 +6,8 @@ case plays both ways and requires the same bytes out, or the same exception
 with the same message, and the same learner state after either.  Traces cross
 multiples of RECORD_BLOCK (64) rounds, and a case may hold one bad loss cell,
 a learning rate schedule that fails at a drawn round, a row that lacks a
-feature, or a loss closure that fails at a drawn row.
+feature, or a loss closure that fails at a drawn row.  Tree rows are float64,
+float32 or int arrays, lists, or ragged float64 arrays of several lengths.
 """
 
 import math
@@ -165,8 +166,14 @@ def tree_cases(draw):
     tree = random_template_tree(draw(st.integers(1, 4)), k, rng)
     t_len = draw(st.one_of(st.integers(0, 150), st.sampled_from(BLOCK_EDGES[:6])))
     X, Z = rng.uniform(0.0, 1.0, (t_len, k)), rng.uniform(0.0, 1.0, t_len).tolist()
-    kind = draw(st.sampled_from(["float64", "float32", "list"]))
-    xs = list(X) if kind == "float64" else list(X.astype(np.float32)) if kind == "float32" else X.tolist()
+    kinds = {
+        "float64": lambda: list(X),
+        "float32": lambda: list(X.astype(np.float32)),
+        "list": X.tolist,
+        "int": lambda: list((2.0 * X).astype(np.int64)),  # 0 or 1: every split's threshold lies in (0, 1)
+        "ragged": lambda: [np.append(x, rng.uniform(0.0, 1.0, j)) for x, j in zip(X, rng.integers(0, 3, t_len))],
+    }
+    xs = kinds[draw(st.sampled_from(list(kinds)))]()
     loss = draw(st.sampled_from([squared_loss, absolute_loss]))
     rounds = [(x, loss(z)) for x, z in zip(xs, Z)]
     fail = None

@@ -4,6 +4,9 @@ lab.play hands a loss matrix whole to a learner with play_trace(): the fixed
 learner certifies its recorded states in blocks of rounds, and hedge plays a
 block of rounds per set of numpy calls.  The reference here is the public
 per-round surface: update(), or update(losses, certify=True), once a round.
+The interval learner's rounds, per-round and whole, are rounds of
+ExpertBank.play; their reference is the bank's rows path, the sleeping
+registry's round.  Losses in Fortran order play with the bits of C order.
 """
 
 import numpy as np
@@ -295,3 +298,53 @@ def assert_tv_play_across_the_gather_share(t_len, predicted):
     assert (loop._bank.q.size > potential._DOT_CHUNK) == (t_len > 1000)
     assert same_bytes(np.array(whole.play_trace(losses, certify=True)), np.array(expected).T)
     assert tv_state(whole) == tv_state(loop)
+
+
+def bank_rows_path(losses):
+    """The interval learner's rounds as the sleeping registry's round plays them:
+    a bank that add()s each round's copies with their 1/t^2 priors, and one
+    update(np.tile(l, t), np.arange(m), certify=True) over its m rows a round."""
+    bank, n = potential.ExpertBank(), losses.shape[1]
+    records = []
+    for t, lvec in enumerate(losses, start=1):
+        bank.add(np.full(n, 1.0 / t**2))
+        records.append(bank.update(np.tile(lvec, t), np.arange(bank.q.size), certify=True))
+    return np.array(records).T, bank
+
+
+def test_tv_is_the_bank_rows_path():
+    # tv's per-round update() and play_trace() play rounds of ExpertBank.play; their
+    # reference is the rows path, on shifting traces whose live share crosses 2/5 both
+    # ways past 2,048 copies (T = 300) and that pass 10,000 copies (T = 1,050)
+    for t_len in (300, 1050):
+        losses = gen_shifting(10, t_len, 3, 0.25, 0.3, 0).losses
+        expected, bank = bank_rows_path(losses)
+        whole, loop = TvLearner(10), TvLearner(10)
+        played = [np.array(whole.play_trace(losses, certify=True)), tv_rounds(loop, losses, True)]
+        for got, learner in zip(played, (whole, loop)):
+            assert same_bytes(got, expected)
+            assert tv_state(learner)[1:] == (bank.q.tobytes(), bank.R.tobytes(), bank.C.tobytes())
+
+
+@pytest.mark.parametrize("name, n", [("ada", 10), ("ada", 100), ("ada", 500), ("ada", 3000), ("hedge", 10),
+                                     ("hedge", 3000)])
+@pytest.mark.parametrize("seeds", [None, 2])
+def test_bits_do_not_depend_on_the_layout_of_the_losses(name, n, seeds):
+    # the same values in Fortran order and in C order: the same bytes, round by round and as a whole trace
+    make, certify = (ada(n), True) if name == "ada" else (hedge(n), False)
+    losses = stacked_losses(n, 30, seeds)
+    fortran = np.asfortranarray(losses)
+    kwargs = {"certify": True} if certify else {}
+
+    def play_it(learner, l, whole):
+        return learner.play_trace(l, **kwargs) if whole else per_round(learner, l, certify)
+
+    for whole in (False, True):
+        c_side, f_side = make(seeds), make(seeds)
+        assert same_bytes(play_it(c_side, losses, whole), play_it(f_side, fortran, whole))
+        for a, b in zip(state(c_side), state(f_side), strict=True):
+            assert same_bytes(a, b)
+    if seeds is not None:  # each seed of Fortran-ordered (T, S, N) losses plays as a learner of its own
+        batched = make(seeds).play_trace(fortran)
+        for k in range(seeds):
+            assert same_bytes(batched[:, k], make(None).play_trace(np.ascontiguousarray(losses[:, k])))
